@@ -82,6 +82,14 @@ func TestQueuedArtifactsServeReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release) // a failed check left the write gated
+		}
+		dt.Close()
+	})
 	want := &blob{S: "inflight", Bytes: 8}
 	dt.PutAsync("k", want)
 	v, ok := dt.Get("k")

@@ -54,6 +54,9 @@ func openTestTier(t *testing.T, dir string, maxBytes int64) *DiskTier {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the async writer before TempDir's RemoveAll runs (cleanups
+	// are last-in first-out), or its late writes race the removal.
+	t.Cleanup(dt.Close)
 	return dt
 }
 
@@ -248,6 +251,7 @@ func TestDiskTierRefusesZeroByteArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(dt.Close)
 	dt.Put("zero", struct{}{})
 	if dt.Len() != 0 {
 		t.Fatal("zero-byte artifact must not be indexed")
@@ -299,6 +303,9 @@ func TestTieredExecPointerIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(Options{Workers: 4, Disk: dt})
+	// slowCodec keeps the write-through queue busy past the last Exec;
+	// Close drains it before the store directory is removed.
+	t.Cleanup(eng.Close)
 	ctx := context.Background()
 	for iter := 0; iter < 200; iter++ {
 		var mu sync.Mutex

@@ -19,6 +19,9 @@ func diskServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Options{Workers: 2, Disk: dt})
+	// Registered before ts.Close so it runs after it: the listener
+	// stops first, then the async writer drains before dir is removed.
+	t.Cleanup(eng.Close)
 	eng.WarmFromDisk()
 	srv := New(eng)
 	ts := httptest.NewServer(srv.Handler())

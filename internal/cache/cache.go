@@ -72,9 +72,12 @@ func New(cfg Config) *Cache {
 	for 1<<setBits < nSets {
 		setBits++
 	}
+	// One backing array for every set: a cache is built per thread
+	// unit per simulation, and 512 small allocations each time add up.
+	lines := make([]line, nSets*cfg.Ways)
 	sets := make([][]line, nSets)
 	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+		sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{
 		cfg:       cfg,

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bpred"
@@ -41,7 +43,11 @@ type thread struct {
 
 	written  uint32 // bitmask of registers written by this thread
 	consumed uint32 // registers read before being written
-	okCache  map[isa.Reg]bool
+	// inKnown marks live-in registers whose correctness is classified
+	// (at spawn by the value predictor, or at first read); inOK holds
+	// the classification.
+	inKnown uint32
+	inOK    uint32
 	// stalled marks a thread waiting for a mispredicted live-in's
 	// correct value to be forwarded from its producer (stall-on-use
 	// recovery; see checkInput).
@@ -58,10 +64,9 @@ type thread struct {
 // threads scheduled onto the unit (the paper keeps predictor and cache
 // state warm across spawns).
 type tuState struct {
-	bp    *bpred.Gshare
-	l1    *cache.Cache
-	issue *ring
-	fus   [isa.NumFUClasses]*ring
+	bp *bpred.Gshare
+	l1 *cache.Cache
+	*units
 }
 
 // pendingSpawn is a spawn request waiting for a free thread unit: the
@@ -107,6 +112,7 @@ type sim struct {
 	svcMem    *svc.Memory
 	tus       []*tuState
 	threads   []*thread
+	freeROBs  [][]int64 // reorder buffers of retired threads, for reuse
 	freeTUs   []int
 	bySP      map[uint32][]*core.Pair
 	pairState map[pairKey]*pairRuntime
@@ -125,6 +131,8 @@ type sim struct {
 
 // Simulate runs the processor model over the trace and returns the
 // statistics. The trace index must be buildable (it is built here).
+// The returned Result is its own allocation: it holds no reference to
+// the simulator, whose thread-unit ledgers go back to a pool.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if tr.Len() == 0 {
@@ -143,7 +151,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		pairState: make(map[pairKey]*pairRuntime),
 	}
 	if cfg.Pairs != nil {
-		s.regIdx = trace.NewRegIndex(tr)
+		s.regIdx = tr.Regs()
 		s.bySP = make(map[uint32][]*core.Pair, cfg.Pairs.Len())
 		for i := range cfg.Pairs.Primary {
 			p := &cfg.Pairs.Primary[i]
@@ -170,19 +178,17 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 
 	s.tus = make([]*tuState, cfg.TUs)
 	for i := range s.tus {
-		tu := &tuState{
+		s.tus[i] = &tuState{
 			bp:    bpred.NewGshare(cfg.BPredBits),
 			l1:    cache.New(cfg.Cache),
-			issue: newRing(cfg.IssueWidth),
+			units: getUnits(cfg.IssueWidth),
 		}
-		tu.fus[isa.FUIntALU] = newRing(2)
-		tu.fus[isa.FUIntMul] = newRing(1)
-		tu.fus[isa.FULoadStore] = newRing(2)
-		tu.fus[isa.FUFPAdd] = newRing(2)
-		tu.fus[isa.FUFPMul] = newRing(1)
-		tu.fus[isa.FUFPDiv] = newRing(1)
-		s.tus[i] = tu
 	}
+	defer func() {
+		for _, tu := range s.tus {
+			unitPool.Put(tu.units)
+		}
+	}()
 	for i := cfg.TUs - 1; i >= 1; i-- {
 		s.freeTUs = append(s.freeTUs, i)
 	}
@@ -190,7 +196,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	root := &thread{
 		order: 0, tu: 0, start: 0, end: tr.Len(), pos: 0,
 		state: running, validated: true,
-		rob: make([]int64, cfg.ROB),
+		rob: s.newROB(),
 	}
 	s.threads = []*thread{root}
 
@@ -239,7 +245,26 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 	s.res.SVCForwards = s.svcMem.Forwards
 	s.res.SVCViolations = s.svcMem.Violations
-	return &s.res, nil
+	res := s.res
+	return &res, nil
+}
+
+// newROB returns an empty reorder buffer, reusing a retired thread's.
+// Entries are written before they are read, so no clearing is needed.
+func (s *sim) newROB() []int64 {
+	if n := len(s.freeROBs); n > 0 {
+		rob := s.freeROBs[n-1]
+		s.freeROBs = s.freeROBs[:n-1]
+		return rob
+	}
+	return make([]int64, s.cfg.ROB)
+}
+
+// retire recycles a thread's reorder buffer once the thread has left
+// s.threads for good (committed or killed).
+func (s *sim) retire(t *thread) {
+	s.freeROBs = append(s.freeROBs, t.rob)
+	t.rob = nil
 }
 
 // stepThread advances one thread unit by one cycle: retire up to
@@ -305,7 +330,7 @@ func (s *sim) stepThread(t *thread) {
 		if class == isa.FUNone {
 			issue = ready
 		} else {
-			issue = allocJoint(tu.issue, tu.fus[class], ready)
+			issue = allocJoint(&tu.issue, &tu.fus[class], ready)
 		}
 
 		var done int64
@@ -370,14 +395,16 @@ func (s *sim) stepThread(t *thread) {
 // while independent instructions proceed — the timing of selective
 // reissue in the paper's architecture family.
 func (s *sim) checkInput(t *thread, r isa.Reg) {
-	if v, ok := t.okCache[r]; ok && v {
-		return
-	} else if ok && !v {
+	bit := uint32(1) << r
+	if t.inKnown&bit != 0 {
+		if t.inOK&bit != 0 {
+			return
+		}
 		// classified wrong at spawn; apply the forwarding delay once
 	} else {
-		correct := s.regIdx.ValueAt(r, t.start) == s.regIdx.ValueAt(r, t.spawnPos)
-		t.okCache[r] = correct
-		if correct {
+		t.inKnown |= bit
+		if s.regIdx.ValueAt(r, t.start) == s.regIdx.ValueAt(r, t.spawnPos) {
+			t.inOK |= bit
 			return
 		}
 	}
@@ -386,7 +413,7 @@ func (s *sim) checkInput(t *thread, r isa.Reg) {
 	if t.regReady[r] < at {
 		t.regReady[r] = at
 	}
-	t.okCache[r] = true // the forwarded value is correct from now on
+	t.inOK |= bit // the forwarded value is correct from now on
 }
 
 // deliveryEstimate returns the cycle at which the architecturally
@@ -624,7 +651,8 @@ func (s *sim) grantPending() {
 	if len(s.pendingSpawns) == 0 {
 		return
 	}
-	sort.Slice(s.pendingSpawns, func(a, b int) bool { return s.pendingSpawns[a].q < s.pendingSpawns[b].q })
+	// queueSpawn keeps each q unique, so any sort yields one order.
+	slices.SortFunc(s.pendingSpawns, func(a, b pendingSpawn) int { return cmp.Compare(a.q, b.q) })
 	kept := s.pendingSpawns[:0]
 	for _, ps := range s.pendingSpawns {
 		if s.pairDisabled(ps.pair) {
@@ -703,8 +731,7 @@ func (s *sim) spawn(t *thread, p *core.Pair, q int) {
 		order: q, tu: tuIdx, start: q, end: t.end, pos: q,
 		state: running, pair: p, spawnPos: t.pos,
 		fetchReady: start,
-		rob:        make([]int64, s.cfg.ROB),
-		okCache:    make(map[isa.Reg]bool, len(p.LiveIns)),
+		rob:        s.newROB(),
 	}
 	for r := range child.regReady {
 		child.regReady[r] = start
@@ -717,12 +744,15 @@ func (s *sim) spawn(t *thread, p *core.Pair, q int) {
 			actual := s.regIdx.ValueAt(r, q)
 			predicted, known := s.predictor.Predict(p.SP, p.CQIP, r)
 			s.predictor.Update(p.SP, p.CQIP, r, actual)
-			ok := known && predicted == actual
+			bit := uint32(1) << r
+			child.inKnown |= bit
 			s.res.VPLookups++
-			if ok {
+			if known && predicted == actual {
 				s.res.VPHits++
+				child.inOK |= bit
+			} else {
+				child.inOK &^= bit
 			}
-			child.okCache[r] = ok
 		}
 	}
 	t.end = q
@@ -775,6 +805,7 @@ func (s *sim) squashRestart(u *thread) {
 	for _, v := range s.threads[idx+1:] {
 		s.svcMem.Release(v.order)
 		s.freeTUs = append(s.freeTUs, v.tu)
+		s.retire(v)
 		s.res.ThreadsKilled++
 	}
 	s.threads = s.threads[:idx+1]
@@ -845,6 +876,7 @@ func (s *sim) commitHead() {
 		}
 		s.svcMem.Release(h.order)
 		s.freeTUs = append(s.freeTUs, h.tu)
+		s.retire(h)
 		s.threads = s.threads[1:]
 		if len(s.threads) > 0 {
 			s.threads[0].validated = true

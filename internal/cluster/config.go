@@ -19,6 +19,7 @@ package cluster
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -227,10 +228,11 @@ type Result struct {
 }
 
 // ApproxBytes reports the result's approximate resident size for
-// engine cache accounting: a fixed block of counters plus the optional
-// per-pair statistics map.
+// engine cache accounting: the block of counters plus the optional
+// per-pair statistics map (~120B per pair with its map slot). A Result
+// is its own allocation — Simulate retains nothing else behind it.
 func (r *Result) ApproxBytes() int64 {
-	return 512 + int64(len(r.PairStats))*96
+	return int64(unsafe.Sizeof(*r)) + int64(len(r.PairStats))*120
 }
 
 // PairID keys per-pair statistics.

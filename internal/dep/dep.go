@@ -100,7 +100,7 @@ const (
 // trace. The trace must have its index built.
 func Analyze(tr *trace.Trace, reqs []Request, cfg Config) map[Key]*Stats {
 	cfg = cfg.withDefaults()
-	regIdx := trace.NewRegIndex(tr)
+	regIdx := tr.Regs()
 	out := make(map[Key]*Stats, len(reqs))
 	for _, rq := range reqs {
 		out[rq.Key] = analyzePair(tr, regIdx, rq, cfg)

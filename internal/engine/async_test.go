@@ -3,9 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // TestAsyncWriterDrainsEverything floods the queue well past its
@@ -207,5 +210,64 @@ func TestEngineCloseRacesExec(t *testing.T) {
 				t.Fatalf("artifact %q not durable after Close", key)
 			}
 		}
+	}
+}
+
+// waitGoroutines polls until at most n goroutines remain: stopped
+// workers exit asynchronously, once they observe the close.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineCloseStopsOwnScheduler: an engine that built its own
+// scheduler stops it on Close, so repeated New/Close cycles leave no
+// worker goroutines behind, and a closed engine still answers Exec.
+func TestEngineCloseStopsOwnScheduler(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		e := New(Options{Workers: 4})
+		job := Job{Key: fmt.Sprintf("k%d", i), Run: func(ctx context.Context, deps []any) (any, error) {
+			return &blob{S: "v", Bytes: 1}, nil
+		}}
+		if _, err := e.Exec(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		job.Key += "-after-close"
+		if v, err := e.Exec(context.Background(), job); err != nil || v.(*blob).S != "v" {
+			t.Fatalf("Exec after Close = %v, %v", v, err)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// TestEngineCloseLeavesSharedScheduler: a scheduler passed in through
+// Options.Sched belongs to the caller and keeps its workers.
+func TestEngineCloseLeavesSharedScheduler(t *testing.T) {
+	s := sched.New(2)
+	defer s.Close()
+	New(Options{Sched: s}).Close()
+
+	// On a running scheduler Go queues fn for a worker and returns; on
+	// a stopped one it would run fn inline and block here.
+	release := make(chan struct{})
+	defer close(release)
+	g := s.NewGroup()
+	queued := make(chan struct{})
+	go func() {
+		g.Go("t", func() { <-release })
+		close(queued)
+	}()
+	select {
+	case <-queued:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Engine.Close stopped a scheduler it did not build")
 	}
 }

@@ -407,15 +407,26 @@ func (t *DiskTier) HasOrPending(key string) bool {
 	return queued
 }
 
-// Keys returns the resident keys, least recently used first (the order
-// a memory warm-up should replay them so the hottest end up freshest).
+// Keys returns every key the tier holds: the resident keys least
+// recently used first (the order a memory warm-up should replay them so
+// the hottest end up freshest), then the keys still queued for the
+// background writer, sorted. A re-replication sweep must see a queued
+// artifact too, or a key whose write-through push was shed before its
+// write landed would stay under-replicated.
 func (t *DiskTier) Keys() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	keys := make([]string, 0, t.ll.Len())
+	keys := make([]string, 0, t.ll.Len()+len(t.pending))
 	for e := t.ll.Back(); e != nil; e = e.Prev() {
 		keys = append(keys, e.Value.(*diskEntry).key)
 	}
+	n := len(keys)
+	for k := range t.pending {
+		if _, resident := t.items[k]; !resident {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys[n:])
 	return keys
 }
 

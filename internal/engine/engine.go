@@ -125,6 +125,9 @@ type call struct {
 // each other's warm artifacts.
 type Engine struct {
 	sched *sched.Scheduler
+	// ownSched marks a scheduler New built itself (Options.Sched nil);
+	// Close stops it. A caller's scheduler is the caller's to close.
+	ownSched bool
 	// local is the store chain Exec memoizes through (memory, or
 	// memory+disk) — also the view Peek and WarmFromDisk use. rstore,
 	// when non-nil, is the remote-fetch stage consulted between a local
@@ -143,9 +146,9 @@ type Engine struct {
 
 // New builds an Engine.
 func New(opts Options) *Engine {
-	s := opts.Sched
+	s, own := opts.Sched, false
 	if s == nil {
-		s = sched.New(opts.Workers)
+		s, own = sched.New(opts.Workers), true
 	}
 	mem := NewCacheSized(opts.CacheEntries, opts.CacheBytes)
 	var local Store = mem
@@ -158,6 +161,7 @@ func New(opts Options) *Engine {
 	}
 	return &Engine{
 		sched:    s,
+		ownSched: own,
 		local:    local,
 		rstore:   rstore,
 		repl:     opts.Replicate,
@@ -198,13 +202,18 @@ func (e *Engine) Disk() *DiskTier { return e.disk }
 
 // Close drains the disk tier's async-write queue and stops its
 // background writer, so every computed artifact is durable before the
-// process exits. A memory-only engine closes trivially; the engine
-// itself stays usable (later disk writes degrade to synchronous).
-// Close is idempotent and safe to call concurrently with itself and
-// with in-flight Exec calls — every Close returns only after the queue
-// has drained, so an ops shutdown path racing a SIGTERM drain cannot
+// process exits, and stops the scheduler New built when Options.Sched
+// was nil (a scheduler passed in is left running). The engine itself
+// stays usable: later disk writes degrade to synchronous, and later
+// jobs on a stopped scheduler run on the calling goroutine. Close is
+// idempotent and safe to call concurrently with itself and with
+// in-flight Exec calls — every Close returns only after the queue has
+// drained, so an ops shutdown path racing a SIGTERM drain cannot
 // observe a half-flushed store.
 func (e *Engine) Close() {
+	if e.ownSched {
+		e.sched.Close()
+	}
 	if e.disk != nil {
 		e.disk.Close()
 	}

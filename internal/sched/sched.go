@@ -196,10 +196,11 @@ func Default() *Scheduler {
 // Workers returns the primary pool size — the core budget.
 func (s *Scheduler) Workers() int { return s.fixed }
 
-// Close stops the workers once they go idle. Close is meant for
-// transient schedulers (deprecated Workers-knob compatibility paths,
-// tests) after their work has drained; tasks still queued at Close may
-// never run, so a long-lived scheduler is simply never closed.
+// Close stops the workers once they go idle: each drains what is still
+// queued, then exits, so a closed scheduler holds no goroutines. The
+// scheduler stays usable: work submitted from outside the pool after
+// Close runs on the submitting goroutine (Do, Group.Go and For run
+// inline), and speculative work is withdrawn. Close is idempotent.
 func (s *Scheduler) Close() {
 	select {
 	case <-s.closed:
@@ -235,6 +236,13 @@ func (s *Scheduler) current() *worker {
 
 // enqueue places t on the submitter's own deque (locality for nested
 // fork-join) or the global queue, then posts a wake token.
+//
+// An external submission that finds the scheduler closed takes its own
+// task back and runs it inline: the workers may already have made
+// their last scan. Only the submitter's own task is reclaimed — helping
+// with an arbitrary one could deadlock (see package doc). A worker's
+// own push needs no such check, since that worker is still running and
+// rescans before it exits.
 func (s *Scheduler) enqueue(w *worker, t *task) {
 	s.submitted.Add(1)
 	if w != nil {
@@ -250,6 +258,33 @@ func (s *Scheduler) enqueue(w *worker, t *task) {
 	case s.notify <- struct{}{}:
 	default:
 	}
+	if w == nil && s.isClosed() && s.unqueue(t) {
+		s.run(nil, t)
+	}
+}
+
+// isClosed reports whether Close has been called.
+func (s *Scheduler) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// unqueue removes t from the global queue, reporting whether it was
+// still there (false: a worker has claimed it and will run it).
+func (s *Scheduler) unqueue(t *task) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, v := range s.global {
+		if v == t {
+			s.global = append(s.global[:i], s.global[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // find claims the next runnable task for w: own deque newest-first,
@@ -318,12 +353,16 @@ func (s *Scheduler) find(w *worker, g *Group) *task {
 	return nil
 }
 
-// run claims and executes t on w. A lost claim means the task was
-// cancelled; it is dropped.
+// run claims and executes t on w, or on the calling goroutine when w
+// is nil (a submission to a closed scheduler). A lost claim means the
+// task was cancelled; it is dropped.
 func (s *Scheduler) run(w *worker, t *task) {
 	if !t.state.CompareAndSwap(0, 1) {
 		s.completed.Add(1) // cancelled before it ran
 		return
+	}
+	if w == nil {
+		w = &worker{s: s}
 	}
 	prev := w.cur
 	w.cur = t
@@ -387,6 +426,13 @@ func (w *worker) loop(ready *sync.WaitGroup) {
 		case <-s.notify:
 			s.unparks.Add(1)
 		case <-s.closed:
+			// Drain before exiting: a task pushed between the empty
+			// scan above and Close would otherwise be stranded.
+			if t := s.find(w, nil); t != nil {
+				s.unparks.Add(1)
+				s.run(w, t)
+				continue
+			}
 			return
 		}
 	}
@@ -529,7 +575,7 @@ func (s *Scheduler) Speculate(kind string, fn func()) (done <-chan struct{}, can
 	case s.notify <- struct{}{}:
 	default:
 	}
-	return t.done, func() {
+	cancel = func() {
 		// A won CAS means fn never ran and never will: the worker that
 		// eventually pops the task loses its claim CAS and drops it
 		// (run's failed-claim path does not touch done, so this close
@@ -538,6 +584,10 @@ func (s *Scheduler) Speculate(kind string, fn func()) (done <-chan struct{}, can
 			close(t.done)
 		}
 	}
+	if s.isClosed() {
+		cancel() // no idle worker will ever pick it up
+	}
+	return t.done, cancel
 }
 
 // Group is one fork-join scope. Create it, fork with Go, join with

@@ -506,3 +506,41 @@ func TestSpeculateNotClaimedByJoinHelper(t *testing.T) {
 		t.Fatal("speculative task never finished")
 	}
 }
+
+// TestClosedSchedulerRunsInline: Close stops every worker, and the
+// scheduler stays usable — external Do, Group and For work run on the
+// submitting goroutine, and speculative work is withdrawn unrun.
+func TestClosedSchedulerRunsInline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(4)
+	s.Close()
+	s.Close() // idempotent
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want at most %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var ran atomic.Int64
+	if err := s.Do(context.Background(), "t", func() { ran.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	g := s.NewGroup()
+	for i := 0; i < 3; i++ {
+		g.Go("t", func() { ran.Add(1) })
+	}
+	g.Wait()
+	s.For("t", 100, func(int) { ran.Add(1) })
+	if got := ran.Load(); got != 104 {
+		t.Fatalf("ran %d bodies after Close, want 104", got)
+	}
+
+	done, _ := s.Speculate("spec", func() { t.Error("speculative task ran on a closed scheduler") })
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("speculative task neither ran nor was withdrawn")
+	}
+}

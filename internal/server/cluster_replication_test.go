@@ -374,3 +374,55 @@ func TestArtifactPushAndCheck(t *testing.T) {
 		t.Error("kindless push must fail")
 	}
 }
+
+// stallWrites is a disk fault injector that parks the tier's background
+// writer inside the write of one key until released, so the keys queued
+// behind it stay pending for as long as a test needs.
+type stallWrites struct {
+	key     string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *stallWrites) ReadError(string) error { return nil }
+
+func (f *stallWrites) WriteError(key string) error {
+	if key == f.key {
+		close(f.entered)
+		<-f.release
+	}
+	return nil
+}
+
+func (f *stallWrites) MangleImage(_ string, img []byte) []byte { return img }
+
+// TestSweepRepairsQueuedKey: a re-replication sweep must push a key
+// whose artifact is still in the disk tier's async-write queue — the
+// state a key is in when its write-through push is shed right after
+// the computation. The writer is parked on a fault hook, so the key is
+// deterministically queued, not yet written, while the sweep runs.
+func TestSweepRepairsQueuedKey(t *testing.T) {
+	nodes := startReplicatedCluster(t, 2)
+	disk := nodes[0].srv.Engine().Disk()
+	stall := &stallWrites{key: "reach/stall", entered: make(chan struct{}), release: make(chan struct{})}
+	disk.SetFaults(stall)
+	t.Cleanup(func() { close(stall.release) }) // before the engine drains its disk tier
+
+	disk.PutAsync(stall.key, &linalg.Matrix{Rows: 1, Cols: 1, Data: []float64{1}})
+	<-stall.entered
+	const key = "reach/queued"
+	disk.PutAsync(key, &linalg.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2.5}})
+	if disk.Has(key) || !disk.HasOrPending(key) {
+		t.Fatal("the key is not queued behind the stalled write")
+	}
+	if nodes[1].srv.Engine().Has(key) {
+		t.Fatal("the peer holds the key before any sweep")
+	}
+
+	nodes[0].srv.runSweep()
+	for _, k := range []string{stall.key, key} {
+		if !nodes[1].srv.Engine().Has(k) {
+			t.Errorf("sweep left queued key %q at R=1", k)
+		}
+	}
+}

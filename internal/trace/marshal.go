@@ -81,6 +81,8 @@ func (t *Trace) UnmarshalBinary(data []byte) error {
 	t.Events = events
 	t.index = nil
 	t.indexOnce = sync.Once{}
+	t.regs = nil
+	t.regsOnce = sync.Once{}
 	t.BuildIndex()
 	return nil
 }

@@ -18,9 +18,22 @@ type regWrites struct {
 	val []uint64
 }
 
-// NewRegIndex builds the per-register writer index in one pass.
+// NewRegIndex builds the per-register writer index: one pass counts
+// each register's writes so the second fills exactly-sized columns.
+// Simulators share one index per trace through Trace.Regs.
 func NewRegIndex(t *Trace) *RegIndex {
+	var counts [isa.NumRegs]int
+	for i := range t.Events {
+		if e := &t.Events[i]; e.Op.WritesReg() && e.Dst != 0 {
+			counts[e.Dst]++
+		}
+	}
 	idx := &RegIndex{}
+	for r, n := range counts {
+		if n > 0 {
+			idx.writes[r] = regWrites{pos: make([]int32, 0, n), val: make([]uint64, 0, n)}
+		}
+	}
 	for i := range t.Events {
 		e := &t.Events[i]
 		if e.Op.WritesReg() && e.Dst != 0 {

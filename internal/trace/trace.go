@@ -44,19 +44,28 @@ type Trace struct {
 	// happens-before edge publishes the map to every caller.
 	indexOnce sync.Once
 	index     map[uint32][]int32
+
+	// regs is the per-register writer index, built once by Regs and
+	// shared by every simulation and dependence analysis of the trace.
+	regsOnce sync.Once
+	regs     *RegIndex
 }
 
 // Len returns the number of dynamic instructions.
 func (t *Trace) Len() int { return len(t.Events) }
 
 // ApproxBytes reports the trace's approximate resident size — the event
-// stream plus the occurrence index — for engine cache accounting.
-// Traces dominate every other artifact by orders of magnitude. The
-// program is charged to its own artifact entry.
+// stream, the occurrence index and the register index — for engine
+// cache accounting. Traces dominate every other artifact by orders of
+// magnitude. The program is charged to its own artifact entry. The
+// register index is charged whether or not Regs has run yet: a cached
+// trace is one the simulator will read.
 func (t *Trace) ApproxBytes() int64 {
-	// One Event is 32 bytes; the index adds one int32 per event plus
-	// map overhead (~8B/event amortised).
-	return int64(len(t.Events))*44 + 128
+	// One Event is 32 bytes; the occurrence index adds one int32 per
+	// event plus slice growth and map overhead (~8B/event amortised);
+	// the register index holds 12 bytes per register write, and
+	// roughly two events in three write a register.
+	return int64(len(t.Events))*(32+8+8) + 128
 }
 
 // BuildIndex constructs the PC → positions index used by NextOccurrence.
@@ -69,6 +78,13 @@ func (t *Trace) BuildIndex() {
 		}
 		t.index = idx
 	})
+}
+
+// Regs returns the trace's register index, building it on first use.
+// It is safe for concurrent use; every caller shares one index.
+func (t *Trace) Regs() *RegIndex {
+	t.regsOnce.Do(func() { t.regs = NewRegIndex(t) })
+	return t.regs
 }
 
 // NextOccurrence returns the smallest trace position strictly greater
@@ -167,5 +183,7 @@ func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 	t.Events = events
 	t.index = nil
 	t.indexOnce = sync.Once{}
+	t.regs = nil
+	t.regsOnce = sync.Once{}
 	return read, nil
 }

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -27,68 +24,28 @@ var poolConfigs = []Config{
 	{TUs: 1},
 }
 
-const freshRefEnv = "CLUSTER_POOL_FRESH_REFERENCE"
-
-// TestPoolFreshReference is the child half of TestPoolingKeepsResults:
-// run in a fresh process, it prints each config's encoded result. Two
-// collections before each simulation empty the ledger pool, so every
-// reference starts from newly allocated hardware.
-func TestPoolFreshReference(t *testing.T) {
-	if os.Getenv(freshRefEnv) == "" {
-		t.Skip("runs only as TestPoolingKeepsResults's fresh process")
-	}
-	tr, tab, _ := pipeline(t, workload.MustGenerate("compress", workload.SizeTest), core.Config{})
-	for i := range poolConfigs {
-		runtime.GC()
-		runtime.GC()
-		fmt.Printf("result %d %s\n", i, hex.EncodeToString(simBytes(t, tr, tab, i)))
-	}
-}
-
-// freshReference runs TestPoolFreshReference in a new process, where no
-// simulator hardware has been pooled yet, and parses its results.
-func freshReference(t *testing.T) map[int][]byte {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestPoolFreshReference$", "-test.count=1")
-	cmd.Env = append(os.Environ(), freshRefEnv+"=1")
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("fresh reference process: %v\n%s", err, out)
-	}
-	ref := make(map[int][]byte)
-	for _, line := range strings.Split(string(out), "\n") {
-		var i int
-		var h string
-		if _, err := fmt.Sscanf(line, "result %d %s", &i, &h); err != nil {
-			continue
-		}
-		b, err := hex.DecodeString(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[i] = b
-	}
-	if len(ref) != len(poolConfigs) {
-		t.Fatalf("fresh reference printed %d results, want %d:\n%s", len(ref), len(poolConfigs), out)
-	}
-	return ref
-}
-
 // TestPoolingKeepsResults: recycled thread-unit ledgers and reorder
 // buffers must not change a single simulated cycle. Configs with
 // different TU counts, issue widths and predictors are interleaved —
 // serially and from concurrent goroutines, so every pooled ledger is
 // reused under a different shape — and every result must match, byte
-// for byte, the one a fresh process computes.
+// for byte, the one computed on newly allocated hardware. Two
+// collections before each reference simulation empty the ledger pool,
+// so no reference sees recycled state.
 func TestPoolingKeepsResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a fresh process and many simulations")
+		t.Skip("runs many simulations")
 	}
-	ref := freshReference(t)
 	tr, tab, _ := pipeline(t, workload.MustGenerate("compress", workload.SizeTest), core.Config{})
+	ref := make(map[int][]byte, len(poolConfigs))
+	for i := range poolConfigs {
+		runtime.GC()
+		runtime.GC()
+		ref[i] = simBytes(t, tr, tab, i)
+	}
 	check := func(how string, i int, got []byte) {
 		if !bytes.Equal(got, ref[i]) {
-			t.Errorf("%s: config %d (%+v) differs from a fresh process", how, i, poolConfigs[i])
+			t.Errorf("%s: config %d (%+v) differs from fresh hardware", how, i, poolConfigs[i])
 		}
 	}
 

@@ -95,8 +95,9 @@ type Scheduler struct {
 	// unfiltered, so a failed (full) send still guarantees enough
 	// post-push rescans to claim the task (see the liveness note on
 	// worker.loop).
-	notify chan struct{}
-	closed chan struct{}
+	notify    chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// retire counts substitute workers that should exit at their next
 	// idle moment (their lender's Block has returned).
@@ -200,13 +201,10 @@ func (s *Scheduler) Workers() int { return s.fixed }
 // queued, then exits, so a closed scheduler holds no goroutines. The
 // scheduler stays usable: work submitted from outside the pool after
 // Close runs on the submitting goroutine (Do, Group.Go and For run
-// inline), and speculative work is withdrawn. Close is idempotent.
+// inline), and speculative work is withdrawn. Close is idempotent and
+// safe to call concurrently with itself.
 func (s *Scheduler) Close() {
-	select {
-	case <-s.closed:
-	default:
-		close(s.closed)
-	}
+	s.closeOnce.Do(func() { close(s.closed) })
 }
 
 // countKind bumps the per-kind submission counter.

@@ -544,3 +544,27 @@ func TestClosedSchedulerRunsInline(t *testing.T) {
 		t.Fatal("speculative task neither ran nor was withdrawn")
 	}
 }
+
+// TestConcurrentClose: Close calls racing each other (an owner's
+// shutdown against a signal-driven drain) must close the scheduler
+// exactly once instead of panicking on a double channel close.
+func TestConcurrentClose(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		s := New(2)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if !s.isClosed() {
+			t.Fatal("scheduler not closed after concurrent Close calls")
+		}
+	}
+}

@@ -18,10 +18,10 @@ type regWrites struct {
 	val []uint64
 }
 
-// NewRegIndex builds the per-register writer index: one pass counts
+// newRegIndex builds the per-register writer index: one pass counts
 // each register's writes so the second fills exactly-sized columns.
 // Simulators share one index per trace through Trace.Regs.
-func NewRegIndex(t *Trace) *RegIndex {
+func newRegIndex(t *Trace) *RegIndex {
 	var counts [isa.NumRegs]int
 	for i := range t.Events {
 		if e := &t.Events[i]; e.Op.WritesReg() && e.Dst != 0 {

@@ -83,7 +83,7 @@ func (t *Trace) BuildIndex() {
 // Regs returns the trace's register index, building it on first use.
 // It is safe for concurrent use; every caller shares one index.
 func (t *Trace) Regs() *RegIndex {
-	t.regsOnce.Do(func() { t.regs = NewRegIndex(t) })
+	t.regsOnce.Do(func() { t.regs = newRegIndex(t) })
 	return t.regs
 }
 

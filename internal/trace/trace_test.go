@@ -143,7 +143,7 @@ func TestSerialisationProperty(t *testing.T) {
 
 func TestRegIndex(t *testing.T) {
 	tr := tinyTrace()
-	idx := NewRegIndex(tr)
+	idx := newRegIndex(tr)
 	if v := idx.ValueAt(1, 0); v != 0 {
 		t.Errorf("r1 before any write = %d", v)
 	}
@@ -183,7 +183,7 @@ func TestRegIndexMatchesReplay(t *testing.T) {
 			Op: isa.OpLui, Dst: r, Val: state})
 	}
 	tr := &Trace{Events: events}
-	idx := NewRegIndex(tr)
+	idx := newRegIndex(tr)
 	for i, e := range events {
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if got, want := idx.ValueAt(r, i), regs[r]; got != want {

@@ -2,10 +2,12 @@ package expt
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -38,6 +40,18 @@ func TestFigureIDsCompleteAndOrdered(t *testing.T) {
 	}
 }
 
+// goldenFigures is the CSV of every figure over all eight benchmarks
+// at size test, exactly as `spmt-experiments -size test -csv` prints
+// it. Regenerate it only for a change that is meant to move the
+// science:
+//
+//	go run ./cmd/spmt-experiments -size test -csv > internal/expt/testdata/figures_test.csv
+const goldenFigures = "testdata/figures_test.csv"
+
+// TestAllFiguresRender renders every figure in both formats and pins
+// the full eight-benchmark CSV byte-for-byte to the golden file, so a
+// refactor anywhere under the figures (reach, selection, simulator)
+// cannot silently move a number.
 func TestAllFiguresRender(t *testing.T) {
 	s := getSuite(t)
 	for _, id := range FigureIDs() {
@@ -58,6 +72,43 @@ func TestAllFiguresRender(t *testing.T) {
 		buf.Reset()
 		if err := tab.RenderCSV(&buf); err != nil {
 			t.Fatalf("%s csv: %v", id, err)
+		}
+	}
+
+	want, err := os.ReadFile(goldenFigures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Workers: 2})
+	defer eng.Close()
+	all, err := NewSuiteEngine(eng, workload.SizeTest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, id := range FigureIDs() {
+		tab, err := all.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := tab.RenderCSV(&got); err != nil {
+			t.Fatalf("%s csv: %v", id, err)
+		}
+		got.WriteByte('\n')
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("figures CSV differs from %s at line %d:\n got  %q\n want %q", goldenFigures, i+1, g, w)
+			}
 		}
 	}
 }

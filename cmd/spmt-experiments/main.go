@@ -36,7 +36,6 @@ func main() {
 	sizeFlag := flag.String("size", "full", "workload size class: test, small, full")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default: all eight)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "scheduler core budget shared by every parallelism level (1 = serial)")
-	workersFlag := flag.Int("workers", 0, "deprecated alias for -parallel")
 	csv := flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 	storeDir := flag.String("store-dir", "", "disk-tier directory shared with spmt-server (empty = memory-only)")
 	storeBytes := flag.String("store-bytes", "", "disk-tier byte budget, e.g. 4GB (empty = unbounded)")
@@ -45,18 +44,6 @@ func main() {
 	size, err := workload.ParseSize(*sizeFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if *workersFlag != 0 {
-		fmt.Fprintln(os.Stderr, "spmt-experiments: -workers is deprecated; use -parallel (one scheduler budget for every parallelism level)")
-		parallelSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "parallel" {
-				parallelSet = true
-			}
-		})
-		if !parallelSet {
-			*parallel = *workersFlag
-		}
 	}
 	if *parallel < 1 {
 		fatal(fmt.Errorf("-parallel must be >= 1, got %d", *parallel))

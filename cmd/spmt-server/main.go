@@ -85,8 +85,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	opsAddr := flag.String("ops-addr", "", "ops listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "scheduler core budget shared by every parallelism level (jobs, reach sources, GEMM tiles)")
-	workersFlag := flag.Int("workers", 0, "deprecated alias for -parallel")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "scheduler core budget shared by every parallelism level")
 	cacheEntries := flag.Int("cache-entries", engine.DefaultCacheEntries, "artifact-cache capacity (entries)")
 	cacheBytes := flag.String("cache-bytes", "", "memory-tier resident-byte budget, e.g. 512MB (empty = unbounded)")
 	storeDir := flag.String("store-dir", "", "disk-tier directory for persistent artifacts (empty = memory-only)")
@@ -120,18 +119,6 @@ func main() {
 		slog.Warn("fault injection enabled (testing only)", "spec", *faultInject, "seed", *faultSeed)
 	}
 
-	if *workersFlag != 0 {
-		slog.Warn("-workers is deprecated; use -parallel (one scheduler budget for every parallelism level)")
-		parallelSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "parallel" {
-				parallelSet = true
-			}
-		})
-		if !parallelSet {
-			*parallel = *workersFlag
-		}
-	}
 	if *parallel < 1 {
 		fmt.Fprintln(os.Stderr, "spmt-server: -parallel must be >= 1")
 		os.Exit(2)

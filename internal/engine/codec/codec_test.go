@@ -296,7 +296,7 @@ func TestPipelineArtifactsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := reach.ComputeOpts(g, reach.Options{Workers: 1})
+	rr, err := reach.Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@
 // caller's in-flight computation are helping waits (the worker runs
 // other queued tasks meanwhile), so arbitrarily deep dependency chains
 // cannot deadlock the pool. Because jobs run on the same scheduler
-// that reach's per-source fan-out and linalg's tile fan-out fork into,
-// one core budget covers every parallelism level at once.
+// that the suite's bench and sim fan-outs fork into, one core budget
+// covers every parallelism level at once.
 package engine
 
 import (
@@ -46,10 +46,9 @@ type Job struct {
 // Options configures an Engine.
 type Options struct {
 	// Sched, when non-nil, is the work-stealing scheduler jobs execute
-	// on — normally the one process-wide scheduler, so engine jobs,
-	// reach fan-outs and linalg tile fan-outs share a single core
-	// budget. When nil the engine builds its own scheduler with
-	// Workers workers.
+	// on — normally the one process-wide scheduler, so engine jobs and
+	// the fan-outs that submit them share a single core budget. When
+	// nil the engine builds its own scheduler with Workers workers.
 	Sched *sched.Scheduler
 	// Workers sizes the scheduler the engine builds when Sched is nil
 	// (<= 0 selects runtime.GOMAXPROCS(0)); Workers == 1 gives serial
@@ -176,8 +175,8 @@ func New(opts Options) *Engine {
 func (e *Engine) Workers() int { return e.sched.Workers() }
 
 // Sched returns the scheduler the engine runs jobs on, so nested
-// parallelism (reach fan-out, linalg tiles, suite sweeps) can fork
-// into the same core budget.
+// parallelism (the suite's bench and sim sweeps) can fork into the
+// same core budget.
 func (e *Engine) Sched() *sched.Scheduler { return e.sched }
 
 // Stats snapshots the engine counters.

@@ -14,9 +14,9 @@ import (
 )
 
 // TestSchedDeterminismAcrossWorkerCounts pins the scheduler's
-// reserve/commit contract end to end: a full figure sweep — engine
-// dependency layers, reach's per-source fan-out, and the GEMM/LU tile
-// fan-out all riding the same work-stealing pool — must render
+// reserve/commit contract end to end: a full figure sweep — the
+// per-bench pipeline fan-out, the engine's dependency layers and the
+// sim grids all riding the same work-stealing pool — must render
 // byte-identical output for every worker count, including one.
 func TestSchedDeterminismAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
@@ -38,12 +38,15 @@ func TestSchedDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestNestedGroupStress drives the full nesting depth — batch → sims →
-// reach → tiles — on a deliberately tiny pool, repeatedly, and pins
-// zero result divergence against a serial engine. Two benches' whole
-// pipelines are built inside the batch (nothing prewarmed), so sim
-// tasks, reach source tasks, and tile tasks all contend for the same
-// three workers while singleflight joins lend cores back and forth.
+// TestNestedGroupStress drives the nesting the pool carries — bench
+// pipelines, then a batch of sims that join their table and trace
+// artifacts through singleflight — on a deliberately tiny pool,
+// repeatedly, and pins zero result divergence against a serial engine.
+// Each round builds two benches' pipelines cold (nothing prewarmed),
+// so pipeline and sim tasks contend for the same three workers while
+// singleflight joins lend cores back and forth. It exercises no
+// reach-source or tile tasks: reach and its linalg kernels run
+// serially inside their one engine job.
 func TestNestedGroupStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated cold pipeline builds")
@@ -89,8 +92,7 @@ func TestNestedGroupStress(t *testing.T) {
 
 // TestGoroutineCountBoundedBySweep is the acceptance bound: goroutine
 // count during a full sweep must be O(workers) — primaries plus a
-// bounded set of Block substitutes — never O(workers × sources ×
-// tiles) as the old pool-per-level design allowed.
+// bounded set of Block substitutes — never O(workers × jobs).
 func TestGoroutineCountBoundedBySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build and sweep")
@@ -107,7 +109,7 @@ func TestGoroutineCountBoundedBySweep(t *testing.T) {
 			}
 		}
 	}
-	// The cold build fans out bench pipelines → reach sources → tiles.
+	// The cold build fans out one pipeline task per bench.
 	eng := engine.New(engine.Options{Workers: workers})
 	s, err := NewSuiteEngine(eng, workload.SizeTest, []string{"compress", "ijpeg"})
 	if err != nil {
@@ -125,10 +127,8 @@ func TestGoroutineCountBoundedBySweep(t *testing.T) {
 	}
 	sample()
 	// Budget: the 8 primaries, substitutes covering singleflight joins
-	// (bounded by concurrent blocked joins, a small multiple of W, not
-	// by sources × tiles), and slack for the runtime and harness. The
-	// pool-per-level design this replaces held workers × reach_workers
-	// × tile_workers goroutines — hundreds at GOMAXPROCS 8.
+	// (bounded by concurrent blocked joins, a small multiple of W), and
+	// slack for the runtime and harness.
 	limit := int64(before + workers + 8*workers + 16)
 	if got := peak.Load(); got > limit {
 		t.Fatalf("peak goroutines %d > limit %d (baseline %d, %d workers): fan-out is not O(workers)",
@@ -137,9 +137,8 @@ func TestGoroutineCountBoundedBySweep(t *testing.T) {
 }
 
 // sweepGrid is the mixed /v1/batch-shaped workload the scheduler bench
-// measures: every bench × policy × TU-count combination, so sim tasks,
-// table builds, reach fan-outs, and GEMM tiles all land on the pool in
-// one burst.
+// measures: every bench × policy × TU-count combination, so sim tasks
+// and table builds all land on the pool in one burst.
 func sweepGrid(s *Suite) []SimReq {
 	var reqs []SimReq
 	for _, b := range s.Benches {
@@ -153,12 +152,8 @@ func sweepGrid(s *Suite) []SimReq {
 }
 
 // benchmarkSchedSweep measures one cold end-to-end sweep: pipeline
-// build (emu → cfg → reach → tiles) plus the mixed sim grid, per
-// iteration. reachPrivate > 0 reproduces the pool-per-level seed
-// topology (engine pool + a private reach pool per in-flight reach
-// job) at the same core budget — the baseline BENCH_sched.json's
-// summary compares the unified scheduler against.
-func benchmarkSchedSweep(b *testing.B, workers, reachPrivate int) {
+// build (emu → cfg → reach) plus the mixed sim grid, per iteration.
+func benchmarkSchedSweep(b *testing.B, workers int) {
 	names := []string{"compress", "ijpeg", "li", "go"}
 	for i := 0; i < b.N; i++ {
 		// Collect the previous iteration's (and sub-benchmark's) engine
@@ -168,22 +163,10 @@ func benchmarkSchedSweep(b *testing.B, workers, reachPrivate int) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		eng := engine.New(engine.Options{Workers: workers})
-		s := &Suite{Size: workload.SizeTest, eng: eng, ctx: context.Background(), reachWorkers: reachPrivate}
-		benches := make([]*Bench, len(names))
-		var failed atomic.Value
-		eng.Sched().For("bench", len(names), func(i int) {
-			v, err := eng.Exec(s.ctx, s.benchJob(names[i]))
-			if err != nil {
-				failed.Store(err)
-				return
-			}
-			benches[i] = v.(*Bench)
-		})
-		if err := failed.Load(); err != nil {
+		s, err := NewSuiteEngine(engine.New(engine.Options{Workers: workers}), workload.SizeTest, names)
+		if err != nil {
 			b.Fatal(err)
 		}
-		s.Benches = benches
 		if _, err := s.SimBatch(sweepGrid(s)); err != nil {
 			b.Fatal(err)
 		}
@@ -196,8 +179,7 @@ func BenchmarkSchedSweep(b *testing.B) {
 	if half < 1 {
 		half = 1
 	}
-	b.Run("unified/w=1", func(b *testing.B) { benchmarkSchedSweep(b, 1, 0) })
-	b.Run("unified/w=half", func(b *testing.B) { benchmarkSchedSweep(b, half, 0) })
-	b.Run("unified/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full, 0) })
-	b.Run("threepool/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full, full) })
+	b.Run("unified/w=1", func(b *testing.B) { benchmarkSchedSweep(b, 1) })
+	b.Run("unified/w=half", func(b *testing.B) { benchmarkSchedSweep(b, half) })
+	b.Run("unified/w=full", func(b *testing.B) { benchmarkSchedSweep(b, full) })
 }

@@ -136,12 +136,6 @@ type Suite struct {
 	// carrying the request's context here is what lets cancellation and
 	// trace identity reach the engine's spans.
 	ctx context.Context
-	// reachWorkers, when non-zero, routes reach jobs through a private
-	// pool of that size instead of the engine's scheduler — the
-	// pool-per-level topology the unified scheduler replaced. It exists
-	// solely so BenchmarkSchedSweep can measure that baseline; nothing
-	// sets it in production.
-	reachWorkers int
 }
 
 // NewSuite builds the pipeline for the given benchmarks (nil = the full
@@ -230,17 +224,7 @@ func (s *Suite) benchJob(name string) engine.Job {
 		Key:  "reach/" + stem + "/" + pipeHash,
 		Deps: []engine.Job{cfgJob},
 		Run: func(ctx context.Context, deps []any) (any, error) {
-			// The per-source fan-out forks into the engine's own
-			// scheduler: when other benchmarks keep the workers busy the
-			// group runs on the worker it started on (no oversubscription),
-			// and when this job is the only work the idle workers steal
-			// its sources. Output is identical for every worker count.
-			ro := reach.Options{Sched: s.eng.Sched()}
-			if s.reachWorkers > 0 {
-				// Benchmark-only baseline: the seed's private pool.
-				ro = reach.Options{Workers: s.reachWorkers}
-			}
-			return reach.ComputeOpts(deps[0].(*cfg.Graph), ro)
+			return reach.Compute(deps[0].(*cfg.Graph))
 		},
 	}
 	return engine.Job{

@@ -82,19 +82,6 @@ func BenchmarkLinalg(b *testing.B) {
 				f.InverseInto(dst)
 			}
 		})
-		b.Run(fmt.Sprintf("trsm/n=%d", n), func(b *testing.B) {
-			f := NewLU(n)
-			if err := f.FactorInto(a); err != nil {
-				b.Fatal(err)
-			}
-			dst := NewMatrix(n, n)
-			f.SolveMatInto(dst, bm) // warm the packing buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.SolveMatInto(dst, bm)
-			}
-		})
 		b.Run(fmt.Sprintf("mul-alloc/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -103,12 +90,11 @@ func BenchmarkLinalg(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("mul-into/n=%d", n), func(b *testing.B) {
 			dst := NewMatrix(n, n)
-			ws := NewWorkspace()
-			MulIntoOpt(dst, a, bm, 1, ws) // warm the packing buffers
+			MulInto(dst, a, bm) // warm the packing buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MulIntoOpt(dst, a, bm, 1, ws)
+				MulInto(dst, a, bm)
 			}
 		})
 		b.Run(fmt.Sprintf("mul-ref/n=%d", n), func(b *testing.B) {

@@ -6,28 +6,20 @@
 //	for jc over N by gemmNC:         // B column block
 //	  for pc over K by gemmKC:       // depth panel (accumulated in order)
 //	    pack B[pc, jc] into bp       // nr-wide micro-panels, zero-padded
-//	    for ic over M by gemmMC:     // A row block (parallel fan-out)
+//	    for ic over M by gemmMC:     // A row block
 //	      pack A[ic, pc] into ap     // mr-tall micro-panels, zero-padded
 //	      for each 4×8 tile: gemm4x8(ap, bp, C)
 //
 // Panels are zero-padded to multiples of the micro-kernel shape, so
 // edge tiles run the same full-speed kernel (padding contributes exact
 // zeros); only the store of an edge tile goes through a small bounce
-// buffer. The optional fan-out parallelises the ic loop — preferably
-// as a task group on the process's work-stealing scheduler
-// (MulIntoSched, LU.Sched) so tiles share the one core budget with the
-// callers that nest above them, with a deprecated private-goroutine
-// path behind the old worker counts. Either way workers write disjoint
-// row blocks of C and the depth (pc) accumulation order is fixed, so
-// output is byte-identical for every worker count.
+// buffer. The depth (pc) accumulation order is fixed, so output is
+// deterministic.
 package linalg
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/sched"
 )
 
 const (
@@ -43,10 +35,6 @@ const (
 	// Below this many multiply-adds the packing overhead outweighs the
 	// micro-kernel's throughput; the scalar reference path wins.
 	gemmMinMadds = 16 * 16 * 16
-	// Parallel fan-out engages only when each worker gets at least one
-	// full A block per panel; smaller problems are bandwidth-bound and
-	// goroutine overhead dominates.
-	gemmParMinRows = 2 * gemmMC
 )
 
 // GEMM application modes for a computed tile.
@@ -82,59 +70,14 @@ func (g *gemmBuf) sizeB(n int) []float64 {
 	return g.b[:n]
 }
 
-// gemmBufPool amortises packing buffers across callers that do not
-// carry a Workspace (MulInto's package-level entry point, parallel
-// workers).
+// gemmBufPool amortises packing buffers across MulInto calls, which
+// carry no LU (and so no LU-owned buffer) of their own.
 var gemmBufPool = sync.Pool{New: func() any { return new(gemmBuf) }}
-
-// gemmPar selects the tile fan-out of the ic loop: a task group on
-// sched when non-nil (the shared-budget path), otherwise workers
-// private goroutines (the deprecated knob path), serial when neither.
-type gemmPar struct {
-	sched   *sched.Scheduler
-	workers int
-}
-
-// active reports whether the fan-out engages for an m-row panel.
-func (p gemmPar) active(m int) bool {
-	if m < gemmParMinRows {
-		return false
-	}
-	if p.sched != nil {
-		return p.sched.Workers() > 1
-	}
-	return p.workers > 1
-}
 
 // MulInto computes dst = a·b into dst (reshaped as needed) without
 // allocating beyond dst's backing array at steady state. dst must not
 // alias a or b.
-func MulInto(dst, a, b *Matrix) *Matrix { return MulIntoOpt(dst, a, b, 1, nil) }
-
-// Mul computes C = A·B into a fresh matrix.
-func Mul(a, b *Matrix) *Matrix {
-	return MulInto(NewMatrix(a.Rows, b.Cols), a, b)
-}
-
-// MulIntoOpt is MulInto with explicit resources: workers > 1 fans the
-// row blocks of dst out across that many private goroutines
-// (deterministic — see package doc), and a non-nil ws supplies the
-// packing buffers so repeated calls reuse the same storage.
-//
-// Deprecated: use MulIntoSched so the tile fan-out shares the
-// process's scheduler budget instead of opening its own pool.
-func MulIntoOpt(dst, a, b *Matrix, workers int, ws *Workspace) *Matrix {
-	return mulIntoPar(dst, a, b, gemmPar{workers: workers}, ws)
-}
-
-// MulIntoSched is MulInto with the row-block fan-out forked as a task
-// group on s (nil s, or a 1-worker s, is serial). Output is
-// byte-identical to MulInto for every scheduler size.
-func MulIntoSched(dst, a, b *Matrix, s *sched.Scheduler, ws *Workspace) *Matrix {
-	return mulIntoPar(dst, a, b, gemmPar{sched: s}, ws)
-}
-
-func mulIntoPar(dst, a, b *Matrix, par gemmPar, ws *Workspace) *Matrix {
+func MulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: Mul dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -142,16 +85,15 @@ func mulIntoPar(dst, a, b *Matrix, par gemmPar, ws *Workspace) *Matrix {
 		return MulIntoRef(dst, a, b)
 	}
 	dst.reshapeNoClear(a.Rows, b.Cols)
-	var buf *gemmBuf
-	if ws != nil {
-		buf = ws.packBuf()
-		defer ws.putPackBuf(buf)
-	} else {
-		buf = gemmBufPool.Get().(*gemmBuf)
-		defer gemmBufPool.Put(buf)
-	}
-	gemmBlock(dst, 0, 0, a, 0, 0, b, 0, 0, a.Rows, a.Cols, b.Cols, gemmSet, par, buf)
+	buf := gemmBufPool.Get().(*gemmBuf)
+	defer gemmBufPool.Put(buf)
+	gemmBlock(dst, 0, 0, a, 0, 0, b, 0, 0, a.Rows, a.Cols, b.Cols, gemmSet, buf)
 	return dst
+}
+
+// Mul computes C = A·B into a fresh matrix.
+func Mul(a, b *Matrix) *Matrix {
+	return MulInto(NewMatrix(a.Rows, b.Cols), a, b)
 }
 
 // gemmBlock applies C[ci:ci+m, cj:cj+n] op= A[ai:ai+m, ak:ak+kk] ·
@@ -159,7 +101,7 @@ func mulIntoPar(dst, a, b *Matrix, par gemmPar, ws *Workspace) *Matrix {
 // overwrites C (later depth panels accumulate), gemmAdd/gemmSub
 // accumulate into existing C content. The A/B regions must not overlap
 // the C region (reads and writes interleave per depth panel).
-func gemmBlock(c *Matrix, ci, cj int, a *Matrix, ai, ak int, b *Matrix, bk, bj int, m, kk, n, mode int, par gemmPar, buf *gemmBuf) {
+func gemmBlock(c *Matrix, ci, cj int, a *Matrix, ai, ak int, b *Matrix, bk, bj int, m, kk, n, mode int, buf *gemmBuf) {
 	if m == 0 || n == 0 || kk == 0 {
 		if kk == 0 && mode == gemmSet {
 			for i := 0; i < m; i++ {
@@ -186,10 +128,6 @@ func gemmBlock(c *Matrix, ci, cj int, a *Matrix, ai, ak int, b *Matrix, bk, bj i
 			}
 			bp := buf.sizeB(ncp * kc)
 			packB(bp, b, bk+pc, bj+jc, kc, nc)
-			if par.active(m) {
-				parallelIC(c, ci, cj+jc, a, ai, ak+pc, bp, m, kc, nc, md, par)
-				continue
-			}
 			for ic := 0; ic < m; ic += gemmMC {
 				mc := min(gemmMC, m-ic)
 				ap := buf.sizeA(roundUp(mc, mr) * kc)
@@ -198,55 +136,6 @@ func gemmBlock(c *Matrix, ci, cj int, a *Matrix, ai, ak int, b *Matrix, bk, bj i
 			}
 		}
 	}
-}
-
-// parallelIC fans the A row blocks of one depth panel out. Each runner
-// packs its own A blocks (from pooled buffers) and writes a disjoint
-// row range of C; the shared B panel is read-only. Work is claimed
-// through an atomic counter, but the result is independent of the
-// claim order because blocks do not interact. With a scheduler the
-// runners are a caller-participating task group — tile work shares the
-// core budget with whatever forked it (a reach source, an LU trailing
-// update, an engine job) instead of adding a private pool on top.
-func parallelIC(c *Matrix, ci, cj int, a *Matrix, ai, ak int, bp []float64, m, kc, nc, mode int, par gemmPar) {
-	blocks := (m + gemmMC - 1) / gemmMC
-	runBlock := func(blk int, buf *gemmBuf) {
-		ic := blk * gemmMC
-		mc := min(gemmMC, m-ic)
-		ap := buf.sizeA(roundUp(mc, mr) * kc)
-		packA(ap, a, ai+ic, ak, mc, kc)
-		gemmMacro(c, ci+ic, cj, ap, bp, mc, kc, nc, mode, &buf.tile)
-	}
-	if par.sched != nil {
-		par.sched.For("tile", blocks, func(blk int) {
-			buf := gemmBufPool.Get().(*gemmBuf)
-			runBlock(blk, buf)
-			gemmBufPool.Put(buf)
-		})
-		return
-	}
-	workers := par.workers
-	if workers > blocks {
-		workers = blocks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := gemmBufPool.Get().(*gemmBuf)
-			defer gemmBufPool.Put(buf)
-			for {
-				blk := int(next.Add(1)) - 1
-				if blk >= blocks {
-					return
-				}
-				runBlock(blk, buf)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // gemmMacro runs the micro-kernel over every mr×nr tile of one packed

@@ -1,5 +1,5 @@
-// AVX2+FMA micro-kernels for the packed GEMM engine and the dense
-// vector helpers. Selected at start-up by cpuHasAVX2FMA; every caller
+// AVX2+FMA micro-kernels for the packed GEMM engine and the row axpy
+// of the blocked LU and substitutions. Selected at start-up by cpuHasAVX2FMA; every caller
 // is gated on useAsm, so these routines may assume AVX2 and FMA3.
 #include "textflag.h"
 
@@ -150,58 +150,6 @@ submode:
 	VMOVUPD Y8, (DX)
 	VMOVUPD Y9, 32(DX)
 	VZEROUPPER
-	RET
-
-// func dotAsm(x, y *float64, n int) float64
-//
-// Four-accumulator FMA dot product: the 16-wide main loop keeps four
-// independent YMM chains so the add latency of a single serial chain
-// never bounds throughput; the fixed reduction order keeps results
-// deterministic.
-TEXT ·dotAsm(SB), NOSPLIT, $0-32
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ   CX, DX
-	SHRQ   $4, DX
-	JZ     reduce
-loop16:
-	VMOVUPD     (SI), Y4
-	VMOVUPD     32(SI), Y5
-	VMOVUPD     64(SI), Y6
-	VMOVUPD     96(SI), Y7
-	VFMADD231PD (DI), Y4, Y0
-	VFMADD231PD 32(DI), Y5, Y1
-	VFMADD231PD 64(DI), Y6, Y2
-	VFMADD231PD 96(DI), Y7, Y3
-	ADDQ        $128, SI
-	ADDQ        $128, DI
-	DECQ        DX
-	JNZ         loop16
-reduce:
-	VADDPD       Y1, Y0, Y0
-	VADDPD       Y3, Y2, Y2
-	VADDPD       Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VHADDPD      X0, X0, X0
-	VZEROUPPER
-	ANDQ         $15, CX
-	JZ           done
-tail:
-	MOVSD (SI), X1
-	MULSD (DI), X1
-	ADDSD X1, X0
-	ADDQ  $8, SI
-	ADDQ  $8, DI
-	DECQ  CX
-	JNZ   tail
-done:
-	MOVSD X0, ret+24(FP)
 	RET
 
 // func axpyAsm(a float64, x, y *float64, n int)

@@ -18,11 +18,6 @@ func cpuHasAVX2FMA() bool
 //go:noescape
 func gemm4x8(kc int, ap, bp, c *float64, ldc, mode int)
 
-// dotAsm returns Σ x[i]·y[i] with a four-accumulator FMA loop.
-//
-//go:noescape
-func dotAsm(x, y *float64, n int) float64
-
 // axpyAsm computes y += a·x with a 16-wide FMA loop.
 //
 //go:noescape

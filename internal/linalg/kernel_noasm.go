@@ -11,10 +11,6 @@ func gemm4x8(kc int, ap, bp, c *float64, ldc, mode int) {
 	panic("linalg: gemm4x8 without asm support")
 }
 
-func dotAsm(x, y *float64, n int) float64 {
-	panic("linalg: dotAsm without asm support")
-}
-
 func axpyAsm(a float64, x, y *float64, n int) {
 	panic("linalg: axpyAsm without asm support")
 }

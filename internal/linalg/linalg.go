@@ -11,11 +11,13 @@
 // (AVX2+FMA assembly on amd64, selected at start-up by CPUID). LU
 // factorisation is blocked right-looking — panel factorisation, a
 // triangular solve of the panel's row block, and a trailing-submatrix
-// update through the same GEMM kernel — and inversion/multi-RHS solves
-// are blocked forward/back substitutions whose bulk is again GEMM.
-// On architectures without the assembly micro-kernel every entry point
-// falls back to the scalar reference kernels (reference.go), which are
-// also kept as the parity oracle for the property tests.
+// update through the same GEMM kernel — and inversion is a blocked
+// forward/back substitution over all columns at once whose bulk is
+// again GEMM. On architectures without the assembly micro-kernel every
+// entry point falls back to the scalar reference kernels
+// (reference.go), which are also kept as the parity oracle for the
+// property tests. Every kernel is serial: its callers (one reach
+// computation per CFG) parallelise across CFGs, not within one.
 //
 // # Allocation contract
 //
@@ -25,26 +27,17 @@
 //
 //	FactorInto   factorises into an existing LU's storage
 //	Solve        solves using the LU's internal scratch
-//	SolveMatInto solves a multi-RHS system into an existing matrix
 //	InverseInto  writes A⁻¹ into an existing matrix
 //	MulInto      writes A·B into an existing matrix (packed/blocked)
-//	MulVec/MulVecT multiply into caller-provided vectors
 //
-// A Workspace pools vectors, matrices, LU factorisations, and GEMM
-// packing buffers so a caller that computes in a loop (the reach
-// engine factorises and multiplies once per CFG) reuses the same
-// storage on every iteration. Workspaces, LU values, and the in-place
-// kernels are NOT safe for concurrent use; give each goroutine its
-// own. The optional parallel tile fan-out (MulIntoOpt, LU.Workers) is
-// deterministic: workers write disjoint output tiles and the
-// floating-point schedule per tile is fixed, so results are
-// byte-identical for every worker count.
+// so a caller that computes in a loop (the reach engine factorises,
+// inverts and multiplies once per source node) keeps one LU and its
+// destination matrices and reuses them on every iteration. LU values
+// and the in-place kernels are NOT safe for concurrent use; give each
+// goroutine its own.
 package linalg
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrSingular is returned when a factorisation meets an (effectively)
 // singular pivot.
@@ -118,89 +111,3 @@ func (m *Matrix) CopyFrom(a *Matrix) {
 
 // ApproxBytes reports the matrix's resident size for cache accounting.
 func (m *Matrix) ApproxBytes() int64 { return int64(cap(m.Data))*8 + 48 }
-
-// MulVec computes y = m·x.
-func (m *Matrix) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVec dims %dx%d × %d -> %d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	if useAsm && m.Cols >= 16 {
-		xp := &x[0]
-		for i := 0; i < m.Rows; i++ {
-			y[i] = dotAsm(&m.Data[i*m.Cols], xp, m.Cols)
-		}
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-}
-
-// Axpy computes y += a·x over equal-length vectors, using the FMA
-// kernel when available.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Axpy dims %d vs %d", len(x), len(y)))
-	}
-	if a == 0 || len(x) == 0 {
-		return
-	}
-	if useAsm && len(x) >= 16 {
-		axpyAsm(a, &x[0], &y[0], len(x))
-		return
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
-// Dot returns Σ x[i]·y[i] over equal-length vectors, using the FMA
-// kernel when available.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Dot dims %d vs %d", len(x), len(y)))
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	if useAsm && len(x) >= 16 {
-		return dotAsm(&x[0], &y[0], len(x))
-	}
-	s := 0.0
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// MulVecT computes y = mᵀ·x (y[j] = Σ_i x[i]·m[i,j]) without
-// materialising the transpose; it walks m row-wise, so it is as
-// cache-friendly as MulVec.
-func (m *Matrix) MulVecT(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVecT dims %dx%d ᵀ× %d -> %d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	wide := useAsm && m.Cols >= 16
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		if wide {
-			axpyAsm(xi, &m.Data[i*m.Cols], &y[0], m.Cols)
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			y[j] += xi * v
-		}
-	}
-}

@@ -43,21 +43,6 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 4)
-	a.Set(1, 1, 2)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 2, 1e-12) {
-		t.Errorf("det = %v, want 2", f.Det())
-	}
-}
-
 func TestIdentityAndMul(t *testing.T) {
 	id := Identity(3)
 	a := NewMatrix(3, 3)
@@ -77,16 +62,6 @@ func TestIdentityAndMul(t *testing.T) {
 		if p.Data[i] != a.Data[i] {
 			t.Fatalf("I·A != A at %d", i)
 		}
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := NewMatrix(2, 3)
-	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
-	y := make([]float64, 2)
-	a.MulVec([]float64{1, 1, 1}, y)
-	if y[0] != 6 || y[1] != 15 {
-		t.Errorf("y = %v", y)
 	}
 }
 
@@ -162,7 +137,11 @@ func TestSolveMatchesMulVecProperty(t *testing.T) {
 			x[i] = math.Mod(raw[i%len(raw)], 10)
 		}
 		b := make([]float64, n)
-		a.MulVec(x, b)
+		for i := range b {
+			for j, v := range a.Row(i) {
+				b[i] += v * x[j]
+			}
+		}
 		fac, err := Factor(a)
 		if err != nil {
 			return false
@@ -187,5 +166,120 @@ func TestCloneIndependence(t *testing.T) {
 	c.Set(0, 0, 9)
 	if a.At(0, 0) != 1 {
 		t.Error("Clone shares storage")
+	}
+}
+
+func TestFactorIntoMatchesFactor(t *testing.T) {
+	a := randomDiagDominant(6, []float64{0.3, 0.9, 0.1, 0.7, 0.52, 0.24, 0.81})
+	want, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewLU(2) // undersized on purpose: FactorInto must grow
+	if err := f.FactorInto(a); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.lu.Data {
+		if want.lu.Data[i] != f.lu.Data[i] {
+			t.Fatalf("factor mismatch at %d: %v vs %v", i, want.lu.Data[i], f.lu.Data[i])
+		}
+	}
+	b := []float64{1, 2, 3, 4, 5, 6}
+	x1, x2 := make([]float64, 6), make([]float64, 6)
+	want.Solve(b, x1)
+	f.Solve(b, x2)
+	for i := range x1 {
+		if x1[i] != x2[i] {
+			t.Fatalf("solve mismatch at %d: %v vs %v", i, x1[i], x2[i])
+		}
+	}
+}
+
+func TestInverseIntoMatchesInverse(t *testing.T) {
+	a := randomDiagDominant(5, []float64{0.6, 0.2, 0.9, 0.33, 0.47})
+	f, err := Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.Inverse()
+	dst := NewMatrix(1, 1)
+	f.InverseInto(dst)
+	if dst.Rows != 5 || dst.Cols != 5 {
+		t.Fatalf("shape %dx%d", dst.Rows, dst.Cols)
+	}
+	for i := range want.Data {
+		if want.Data[i] != dst.Data[i] {
+			t.Fatalf("InverseInto differs at %d", i)
+		}
+	}
+}
+
+func TestMulIntoMatchesMul(t *testing.T) {
+	// Rectangular and larger-than-one-block shapes.
+	shapes := []struct{ m, k, n int }{{3, 4, 2}, {70, 65, 80}, {128, 128, 128}}
+	for _, sh := range shapes {
+		a, b := NewMatrix(sh.m, sh.k), NewMatrix(sh.k, sh.n)
+		s := uint64(99)
+		next := func() float64 {
+			s ^= s >> 12
+			s ^= s << 25
+			s ^= s >> 27
+			return float64(s*0x2545f4914f6cdd1d%1000) / 1000
+		}
+		for i := range a.Data {
+			a.Data[i] = next()
+		}
+		for i := range b.Data {
+			b.Data[i] = next()
+		}
+		want := Mul(a, b)
+		dst := NewMatrix(1, 1)
+		MulInto(dst, a, b)
+		if dst.Rows != sh.m || dst.Cols != sh.n {
+			t.Fatalf("shape %dx%d", dst.Rows, dst.Cols)
+		}
+		for i := range want.Data {
+			if want.Data[i] != dst.Data[i] {
+				t.Fatalf("%dx%dx%d: MulInto differs at %d", sh.m, sh.k, sh.n, i)
+			}
+		}
+	}
+}
+
+// TestZeroAllocKernels pins the allocation contract of the in-place
+// kernels: at steady state they allocate nothing.
+func TestZeroAllocKernels(t *testing.T) {
+	n := 32
+	a := randomDiagDominant(n, []float64{0.4, 0.8, 0.15, 0.67, 0.29, 0.93})
+	f := NewLU(n)
+	inv := NewMatrix(n, n)
+	dst := NewMatrix(n, n)
+	b := make([]float64, n)
+	x := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i)
+	}
+
+	cases := map[string]func(){
+		"FactorInto": func() {
+			if err := f.FactorInto(a); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Solve":       func() { f.Solve(b, x) },
+		"InverseInto": func() { f.InverseInto(inv) },
+		"MulInto":     func() { MulInto(dst, a, inv) },
+	}
+	for name, fn := range cases {
+		if name == "MulInto" && raceEnabled {
+			// MulInto's packing buffers come from a sync.Pool, and the
+			// race detector deliberately drops pool Puts at random (see
+			// raceEnabled), so the zero-alloc pin only holds without it.
+			continue
+		}
+		fn() // warm up sizing
+		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per run, want 0", name, allocs)
+		}
 	}
 }

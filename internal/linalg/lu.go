@@ -3,18 +3,14 @@
 // scalar/axpy column operations (partial pivoting, full-row swaps), the
 // panel's row block of U is produced by a triangular solve (TRSM), and
 // the trailing submatrix is updated through the packed GEMM kernel —
-// which is where ~all of the O(n³) work lands. InverseInto and
-// SolveMatInto are blocked forward/back substitutions over many right-
-// hand sides at once, again with GEMM carrying the bulk of the flops.
+// which is where ~all of the O(n³) work lands. InverseInto is a blocked
+// forward/back substitution over all columns of the identity at once,
+// again with GEMM carrying the bulk of the flops.
 package linalg
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
-	"sync"
-
-	"repro/internal/sched"
 )
 
 // luPanel is the blocked factorisation's panel width: narrow enough
@@ -28,46 +24,16 @@ const luPanel = 32
 const pivotTol = 1e-14
 
 // LU is a compact LU factorisation with partial pivoting: PA = LU. An
-// LU's storage is reused across FactorInto calls, and Solve/
-// SolveMatInto/InverseInto run out of its internal scratch, so a
-// long-lived LU performs no steady-state allocation. An LU is not safe
-// for concurrent use.
+// LU's storage is reused across FactorInto calls, and Solve and
+// InverseInto run out of its internal scratch, so a long-lived LU
+// performs no steady-state allocation. An LU is not safe for
+// concurrent use.
 type LU struct {
 	lu   *Matrix
 	piv  []int
-	sign float64
 	work []float64 // Solve scratch
 	aux  []float64 // InverseIntoRef column scratch
 	buf  *gemmBuf  // packing workspace for the blocked kernels
-
-	// Sched, when non-nil, forks the trailing GEMM updates of
-	// FactorInto/InverseInto/SolveMatInto as a task group on the
-	// process's work-stealing scheduler, sharing its core budget.
-	// Output is byte-identical for every scheduler size.
-	Sched *sched.Scheduler
-
-	// Workers bounds the deterministic tile fan-out with a private
-	// goroutine pool when Sched is nil (<= 1 is serial; output is
-	// byte-identical for every value).
-	//
-	// Deprecated: set Sched instead, so tile work draws from the one
-	// scheduler budget rather than adding a pool on top of it.
-	Workers int
-}
-
-// warnWorkersOnce emits the one-time deprecation notice for the
-// private-pool LU.Workers knob.
-var warnWorkersOnce sync.Once
-
-// par resolves the fan-out selection, warning once when the deprecated
-// private-pool knob is the one in effect.
-func (f *LU) par() gemmPar {
-	if f.Sched == nil && f.Workers > 1 {
-		warnWorkersOnce.Do(func() {
-			slog.Warn("linalg: LU.Workers is deprecated; set LU.Sched to share the scheduler budget")
-		})
-	}
-	return gemmPar{sched: f.Sched, workers: f.Workers}
 }
 
 // NewLU returns an LU with storage preallocated for n×n factorisations.
@@ -112,7 +78,6 @@ func (f *LU) factorPrologue(a *Matrix) (int, error) {
 	for i := range f.piv {
 		f.piv[i] = i
 	}
-	f.sign = 1.0
 	return n, nil
 }
 
@@ -124,7 +89,6 @@ func (f *LU) swapRows(k, p int) {
 		rk[j], rp[j] = rp[j], rk[j]
 	}
 	f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-	f.sign = -f.sign
 }
 
 // FactorInto factorises a into f's storage, growing it if needed but
@@ -141,7 +105,6 @@ func (f *LU) FactorInto(a *Matrix) error {
 	if f.buf == nil {
 		f.buf = new(gemmBuf)
 	}
-	par := f.par()
 	for k := 0; k < n; k += luPanel {
 		kb := min(luPanel, n-k)
 		if err := f.factorPanel(k, kb); err != nil {
@@ -154,7 +117,7 @@ func (f *LU) FactorInto(a *Matrix) error {
 		f.trsmPanel(k, kb, rest)
 		// Trailing update A22 -= A21·U12 through the packed kernel.
 		gemmBlock(f.lu, k+kb, k+kb, f.lu, k+kb, k, f.lu, k, k+kb,
-			rest, kb, rest, gemmSub, par, f.buf)
+			rest, kb, rest, gemmSub, f.buf)
 	}
 	return nil
 }
@@ -261,24 +224,6 @@ func (f *LU) Solve(b, x []float64) {
 	copy(x, tmp)
 }
 
-// SolveMatInto solves A·X = B for a full right-hand-side matrix,
-// writing X into dst (reshaped as needed; dst must not alias b). The
-// substitutions run blocked over row bands — the inter-band work is
-// GEMM — so wide right-hand sides run at matrix-multiply throughput
-// rather than column-at-a-time Solve speed.
-func (f *LU) SolveMatInto(dst, b *Matrix) *Matrix {
-	n := f.lu.Rows
-	if b.Rows != n {
-		panic(fmt.Sprintf("linalg: SolveMat dims %dx%d × %dx%d", n, n, b.Rows, b.Cols))
-	}
-	dst.reshapeNoClear(n, b.Cols)
-	for i := 0; i < n; i++ {
-		copy(dst.Row(i), b.Row(f.piv[i]))
-	}
-	f.solveBlocked(dst)
-	return dst
-}
-
 // InverseInto computes A⁻¹ into dst (reshaped as needed) without
 // allocating beyond dst's backing array and f's reusable workspace.
 func (f *LU) InverseInto(dst *Matrix) *Matrix {
@@ -312,12 +257,11 @@ func (f *LU) solveBlocked(x *Matrix) {
 	if f.buf == nil {
 		f.buf = new(gemmBuf)
 	}
-	par := f.par()
 	// Forward: X[band] -= L[band, 0:k]·X[0:k], then in-band solve.
 	for k := 0; k < n; k += luPanel {
 		ke := min(k+luPanel, n)
 		if k > 0 {
-			gemmBlock(x, k, 0, lu, k, 0, x, 0, 0, ke-k, k, w, gemmSub, par, f.buf)
+			gemmBlock(x, k, 0, lu, k, 0, x, 0, 0, ke-k, k, w, gemmSub, f.buf)
 		}
 		for i := k + 1; i < ke; i++ {
 			lrow := lu.Row(i)
@@ -344,7 +288,7 @@ func (f *LU) solveBlocked(x *Matrix) {
 	for k := start; k >= 0; k -= luPanel {
 		ke := min(k+luPanel, n)
 		if ke < n {
-			gemmBlock(x, k, 0, lu, k, ke, x, ke, 0, ke-k, n-ke, w, gemmSub, par, f.buf)
+			gemmBlock(x, k, 0, lu, k, ke, x, ke, 0, ke-k, n-ke, w, gemmSub, f.buf)
 		}
 		for i := ke - 1; i >= k; i-- {
 			urow := lu.Row(i)
@@ -369,15 +313,6 @@ func (f *LU) solveBlocked(x *Matrix) {
 			}
 		}
 	}
-}
-
-// Det returns the determinant from the factorisation.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Invert is a convenience wrapper: Factor + Inverse.

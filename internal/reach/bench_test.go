@@ -43,38 +43,18 @@ func syntheticCFG(n int, seed uint64) *cfg.Graph {
 	return g
 }
 
-// BenchmarkReach compares the shared-factorisation engine (serial and
-// parallel) against the per-source-factorisation reference on
-// increasing CFG sizes. scripts/bench_reach.sh records these numbers in
-// BENCH_reach.json across PRs. The O(n⁴) direct reference stops at
-// n=256 — at 512 a single iteration runs the better part of a minute
-// and measures nothing the smaller sizes do not.
+// BenchmarkReach times Compute on increasing synthetic CFG sizes.
+// scripts/bench_reach.sh records these numbers in BENCH_reach.json
+// across PRs. The per-source path is O(n⁴), so the sweep stops at
+// n=256, the pruning cap: at 512 a single iteration runs the better
+// part of a minute and measures nothing the smaller sizes do not.
 func BenchmarkReach(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 512} {
+	for _, n := range []int{64, 128, 256} {
 		g := syntheticCFG(n, 42)
-		b.Run(fmt.Sprintf("shared/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ComputeOpts(g, Options{Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ComputeOpts(g, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if n > 256 {
-			continue
-		}
 		b.Run(fmt.Sprintf("direct/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ComputeDirect(g); err != nil {
+				if _, err := Compute(g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,74 +1,58 @@
 package reach
 
-import (
-	"fmt"
+import "repro/internal/linalg"
 
-	"repro/internal/cfg"
-	"repro/internal/linalg"
-)
+// damping is applied on a retry if a taboo chain is numerically
+// singular: a closed recurrent class that never passes through the
+// source. Pruning conserves flow, so such classes are common — most
+// sources of a served CFG take this retry.
+const damping = 1e-9
 
-// ComputeDirect is the reference implementation: it LU-factorises a
-// fresh taboo chain (I−Qᵢ) for every source node — O(n³) per node,
-// O(n⁴) per CFG. Compute derives the same matrices from a single
-// shared factorisation in O(n³) total; this path is kept as the
-// numerical ground truth for the parity property tests, as the
-// benchmark baseline, and as the fallback Compute uses when the base
-// chain is singular or ill-conditioned.
-func ComputeDirect(g *cfg.Graph) (*Result, error) {
-	n := len(g.Nodes)
-	if n == 0 {
-		return nil, fmt.Errorf("reach: empty graph")
-	}
-	ws := wsPool.Get().(*linalg.Workspace)
-	P := buildChain(g, ws)
-	lens := ws.Vec(n)
-	for i := 0; i < n; i++ {
-		lens[i] = float64(g.Nodes[i].Len)
-	}
-	res := &Result{G: g, Prob: linalg.NewMatrix(n, n), Dist: linalg.NewMatrix(n, n)}
-	err := computeDirectInto(P, lens, res)
-	ws.PutVec(lens)
-	ws.PutMatrix(P)
-	wsPool.Put(ws)
-	return finish(res, err)
+// scratch is the per-Compute working storage of the per-source path:
+// one factorisation, the taboo chain, its fundamental matrix N, the
+// product N·diag(len), M = N·diag(len)·N, and four length-n vectors.
+// Every source overwrites all of it, so Compute allocates it once
+// whatever the graph's size.
+type scratch struct {
+	lu              *linalg.LU
+	A, N, ND, M     *linalg.Matrix
+	x, gv, h, gcirc []float64
 }
 
-// computeDirectInto runs the per-source factorisation over every source.
-func computeDirectInto(P *linalg.Matrix, lens []float64, res *Result) error {
-	n := P.Rows
-	for i := 0; i < n; i++ {
-		if err := computeSourceDirect(P, lens, i, res.Prob.Row(i), res.Dist.Row(i)); err != nil {
-			return fmt.Errorf("reach: source %d: %w", i, err)
-		}
+func newScratch(n int) *scratch {
+	return &scratch{
+		lu: linalg.NewLU(n),
+		A:  linalg.NewMatrix(n, n), N: linalg.NewMatrix(n, n),
+		ND: linalg.NewMatrix(n, n), M: linalg.NewMatrix(n, n),
+		x: make([]float64, n), gv: make([]float64, n),
+		h: make([]float64, n), gcirc: make([]float64, n),
 	}
-	return nil
 }
 
-// computeSourceDirect fills rows i of the probability and distance
-// matrices by factorising the taboo chain of source i from scratch.
-func computeSourceDirect(P *linalg.Matrix, lens []float64, i int, probRow, distRow []float64) error {
+// source fills rows i of the probability and distance matrices by
+// factorising the taboo chain of source i: O(n³) per source, O(n⁴) per
+// CFG.
+func (sc *scratch) source(P *linalg.Matrix, lens []float64, i int, probRow, distRow []float64) error {
 	n := P.Rows
-	N, err := tabooFundamental(P, i, 1)
-	if err != nil {
-		if N, err = tabooFundamental(P, i, 1-damping); err != nil {
+	if err := sc.tabooFundamental(P, i, 1); err != nil {
+		if err = sc.tabooFundamental(P, i, 1-damping); err != nil {
 			return err
 		}
 	}
+	N := sc.N
 	// M = N·diag(len)·N.
-	ND := N.Clone()
+	ND := sc.ND
+	ND.CopyFrom(N)
 	for r := 0; r < n; r++ {
 		row := ND.Row(r)
 		for c := 0; c < n; c++ {
 			row[c] *= lens[c]
 		}
 	}
-	M := linalg.Mul(ND, N)
+	M := linalg.MulInto(sc.M, ND, N)
 
 	srcRow := P.Row(i)
-	x := make([]float64, n)
-	gv := make([]float64, n)
-	h := make([]float64, n)
-	gcirc := make([]float64, n)
+	x, gv, h, gcirc := sc.x, sc.gv, sc.h, sc.gcirc
 
 	// j == i: first-return probability and distance.
 	// h(v) = Pr_v(hit i before leaking) = (N·a)(v), a = P(:,i).
@@ -105,8 +89,9 @@ func computeSourceDirect(P *linalg.Matrix, lens []float64, i int, probRow, distR
 		numII += srcRow[v] * gcirc[v]
 	}
 	probRow[i] = clamp01(rpII)
-	// Matches the shared engine: distances are only defined where the
-	// return probability is meaningfully above round-off.
+	// A return probability at round-off scale would make numII/rpII a
+	// noise ratio, so such pairs report distance 0 like any other
+	// unreachable pair (the same guard as the j != i pairs below).
 	if rpII > 1e-12 {
 		distRow[i] = lens[i] + numII/rpII
 	}
@@ -165,13 +150,16 @@ func computeSourceDirect(P *linalg.Matrix, lens []float64, i int, probRow, distR
 	return nil
 }
 
-// tabooFundamental computes N = (I − s·Q_i)⁻¹ where Q_i is P with row i
-// and column i zeroed.
-func tabooFundamental(P *linalg.Matrix, i int, s float64) (*linalg.Matrix, error) {
+// tabooFundamental computes sc.N = (I − s·Q_i)⁻¹ where Q_i is P with
+// row i and column i zeroed.
+func (sc *scratch) tabooFundamental(P *linalg.Matrix, i int, s float64) error {
 	n := P.Rows
-	A := linalg.NewMatrix(n, n)
+	A := sc.A
 	for r := 0; r < n; r++ {
 		Arow := A.Row(r)
+		for c := range Arow {
+			Arow[c] = 0
+		}
 		Arow[r] = 1
 		if r == i {
 			continue
@@ -184,5 +172,9 @@ func tabooFundamental(P *linalg.Matrix, i int, s float64) (*linalg.Matrix, error
 			Arow[c] -= s * Prow[c]
 		}
 	}
-	return linalg.Invert(A)
+	if err := sc.lu.FactorInto(A); err != nil {
+		return err
+	}
+	sc.lu.InverseInto(sc.N)
+	return nil
 }

@@ -1,11 +1,13 @@
 package reach
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/emu"
+	"repro/internal/linalg"
 	"repro/internal/workload"
 )
 
@@ -99,6 +101,64 @@ func TestComputeThreeNodeTaboo(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		if got := res.Prob.At(2, j); got != 0 {
 			t.Errorf("RP(2,%d) = %v, want 0", j, got)
+		}
+	}
+}
+
+// closedThreeNode is threeNode with C→A instead of C terminal: A→B
+// (1−q), A→C (q), B→A and C→A always. Every row sums to one, so the
+// chain has no leak and I−P is singular — the shape of every served
+// CFG, since pruning conserves flow.
+func closedThreeNode(q float64) *cfg.Graph {
+	g := threeNode(q)
+	g.Succ[2] = []cfg.Edge{{To: 0, W: g.Nodes[2].Count}}
+	return g
+}
+
+// TestComputeClosedChain checks hand-derived values on a chain whose
+// base matrix I−P cannot be factorised. With lengths A=4, B=7, C=3 and
+// q = 1/4:
+//
+//   - From A, both successors lead straight back to A, so RP(A,A) = 1 and
+//     D(A,A) = 4 + (1−q)·7 + q·3 = 10. A→B and A→C are direct hits
+//     (RP 1−q and q, D 4): the other branch returns to A first.
+//   - From B the path is B→A, then A→B ends it (1−q) or A→C→A loops
+//     (q). A is visited 1/(1−q) times and C q/(1−q) times, so
+//     RP(B,B) = 1 and D(B,B) = 7 + 4/(1−q) + 3q/(1−q) = 40/3. B→C
+//     succeeds only as B→A→C: RP q, D 7+4 = 11.
+//   - Symmetrically from C: A is visited 1/q times and B (1−q)/q times,
+//     so RP(C,C) = 1 and D(C,C) = 3 + 4/q + 7(1−q)/q = 40. C→B succeeds
+//     only as C→A→B: RP 1−q, D 3+4 = 7.
+//   - B→A and C→A are certain direct hits: D 7 and 3.
+func TestComputeClosedChain(t *testing.T) {
+	q := 0.25
+	g := closedThreeNode(q)
+	P := buildChain(g)
+	IminusP := linalg.Identity(3)
+	for i := range IminusP.Data {
+		IminusP.Data[i] -= P.Data[i]
+	}
+	if _, err := linalg.Factor(IminusP); !errors.Is(err, linalg.ErrSingular) {
+		t.Fatalf("factorising I−P: err = %v, want ErrSingular", err)
+	}
+	res, err := Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [3][3]struct{ rp, dist float64 }{
+		{{1, 10}, {1 - q, 4}, {q, 4}},
+		{{1, 7}, {1, 40.0 / 3}, {q, 11}},
+		{{1, 3}, {1 - q, 7}, {1, 40}},
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			w := want[i][j]
+			if got := res.Prob.At(i, j); math.Abs(got-w.rp) > 1e-9 {
+				t.Errorf("RP(%d,%d) = %v, want %v", i, j, got, w.rp)
+			}
+			if got := res.Dist.At(i, j); math.Abs(got-w.dist) > 1e-9 {
+				t.Errorf("D(%d,%d) = %v, want %v", i, j, got, w.dist)
+			}
 		}
 	}
 }
@@ -332,6 +392,84 @@ func TestPipelineBenchmarksAgree(t *testing.T) {
 		}
 		if float64(disagree) > 0.15*float64(confident) {
 			t.Errorf("%s: %d/%d confident pairs disagree by > 0.25", name, disagree, confident)
+		}
+	}
+}
+
+func benchGraph(t *testing.T, name string) *cfg.Graph {
+	t.Helper()
+	prog := workload.MustGenerate(name, workload.SizeTest)
+	runRes, err := emu.Run(prog, emu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cfg.Build(runRes.Profile).Prune(0.9, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestParallelRepeatedRuns runs Compute concurrently on one graph, as
+// the engine's workers do across CFGs: each call owns its scratch, so
+// every run must match a lone run bit for bit (and be race-free under
+// -race).
+func TestParallelRepeatedRuns(t *testing.T) {
+	g, _ := randomChainAndWalk(7, 10, 20000)
+	want, err := Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 8)
+	for k := 0; k < 8; k++ {
+		go func() {
+			for r := 0; r < 5; r++ {
+				res, err := Compute(g)
+				if err != nil {
+					done <- err
+					return
+				}
+				for i := range want.Prob.Data {
+					if res.Prob.Data[i] != want.Prob.Data[i] || res.Dist.Data[i] != want.Dist.Data[i] {
+						done <- errors.New("concurrent run diverged from a lone run")
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+	}
+	for k := 0; k < 8; k++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestComputeAllocsPerRun pins the per-source path's scratch reuse: a
+// Compute allocates its result, the chain and one set of scratch
+// matrices and vectors, then runs every source through them. What
+// remains per source is the error value of a singular first
+// factorisation, which the damping retry discards (most sources of a
+// served CFG take that retry: ~3 objects each). Allocating matrices
+// per source again would cost ~20 objects a source and break the
+// bound on both the smallest (compress, 12 nodes) and the largest
+// (gcc, 81 nodes) test-size CFG.
+func TestComputeAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled GEMM packing buffer at random under the race detector")
+	}
+	for _, name := range []string{"compress", "gcc"} {
+		g := benchGraph(t, name)
+		compute := func() {
+			if _, err := Compute(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compute() // fill the GEMM packing-buffer pool
+		n := len(g.Nodes)
+		if got, max := testing.AllocsPerRun(5, compute), 40+3*n; got > float64(max) {
+			t.Errorf("%s (n=%d): Compute allocates %.0f objects, want <= %d", name, n, got, max)
 		}
 	}
 }

@@ -1,18 +1,16 @@
 // Package sched is the process-wide work-stealing scheduler every
 // parallelism level of the repository runs on: engine job execution,
-// reach's per-source fan-out, and linalg's GEMM/LU tile fan-out all
-// submit tasks to ONE pool of workers (one per core by default)
-// instead of each opening a private goroutine pool. A batch sweep that
-// used to run engine_workers × reach_workers × tile_workers goroutines
-// now keeps exactly `workers` goroutines busy, so a fixed core budget
-// is neither under- nor over-subscribed no matter how the levels nest.
+// the per-bench pipeline fan-out and the figure and batch sim grids
+// all submit tasks to ONE pool of workers (one per core by default)
+// instead of each opening a private goroutine pool. A batch sweep
+// keeps exactly `workers` goroutines busy, so a fixed core budget is
+// neither under- nor over-subscribed no matter how the levels nest.
 //
 // # Topology
 //
 // Each worker owns a LIFO deque: tasks forked by code running on that
 // worker push to its own deque and are popped newest-first (locality —
-// a nested fan-out's tiles run hot on the worker that packed their
-// operands), while idle workers steal oldest-first from a victim's
+// a nested fan-out runs hot on the worker that forked it), while idle workers steal oldest-first from a victim's
 // deque (the stolen task is the coarsest remaining work). External
 // goroutines (HTTP handlers, CLIs) submit through a global inject
 // queue. Parked workers are woken through a bounded token channel; a
@@ -50,7 +48,7 @@
 //
 // The Group's parallel-for follows the round-based reserve/commit
 // discipline of PBBS's speculative_for: every index i in [0, n)
-// RESERVES a fixed, disjoint output slot (a result row, a C tile, a
+// RESERVES a fixed, disjoint output slot (a bench, a sim result, a
 // response line) at submission time — the reservation is the index
 // itself, not a runtime allocation — so bodies never contend on
 // output, and any ordered side effects COMMIT through a frontier in
@@ -187,8 +185,8 @@ var (
 )
 
 // Default returns the lazily-created process-wide scheduler, sized one
-// worker per core (GOMAXPROCS). Library entry points that are not
-// handed an explicit scheduler (the spmt facade) run on it.
+// worker per core (GOMAXPROCS), for callers that want one shared pool
+// without building their own.
 func Default() *Scheduler {
 	defaultOnce.Do(func() { defaultSch = New(0) })
 	return defaultSch
@@ -795,7 +793,7 @@ type Stats struct {
 	SpecSubmitted uint64 `json:"spec_submitted"`
 	SpecQueued    int    `json:"spec_queued"`
 	// TasksByKind counts submissions by the caller-supplied kind label
-	// ("emu", "sim", "reach", "tile", …).
+	// ("bench", "dep", "sim", "spec").
 	TasksByKind map[string]uint64 `json:"tasks_by_kind,omitempty"`
 	// PerWorker is indexed by primary worker ID.
 	PerWorker []WorkerStats `json:"per_worker"`

@@ -313,7 +313,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Do calls that ran inline on a worker already holding a core.", float64(ss.Inline))
 	for _, kind := range sortedKeys(ss.TasksByKind) {
 		mw.Counter("spmt_sched_tasks_total",
-			"Tasks submitted by kind (emu, sim, reach, tile, ...).",
+			"Tasks submitted by kind (bench, dep, sim, spec).",
 			float64(ss.TasksByKind[kind]), obs.A("kind", kind))
 	}
 	mw.Counter("spmt_sched_steals_total",

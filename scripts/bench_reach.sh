@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
 # bench_reach.sh — runs the reach/linalg benchmarks and records the
-# perf trajectory in BENCH_reach.json at the repo root, so the
-# shared-factorisation engine's speedup and allocation profile are
+# perf trajectory in BENCH_reach.json at the repo root, so the reach
+# engine's and the packed kernels' speed and allocation profile are
 # tracked across PRs.
 #
 # Usage:
 #   scripts/bench_reach.sh [output.json] [baseline.json]
 #   BENCHTIME=1x scripts/bench_reach.sh     # quick smoke mode
 #   BENCHTIME=3x scripts/bench_reach.sh /tmp/fresh.json BENCH_reach.json  # CI gate
-#
-# The summary block compares the shared-factorisation engine against
-# the per-source-factorisation reference on the medium (n=128) CFG —
-# the acceptance numbers for the O(n⁴)→O(n³) rewrite.
 #
 # When a baseline is given, the freshly-generated JSON is diffed
 # against it and the script exits nonzero if any benchmark regressed
@@ -44,8 +40,6 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
   n++
   lines[n] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
                      name, ns, bytes, allocs)
-  if (name == "BenchmarkReach/shared/n=128") { sns = ns; sal = allocs }
-  if (name == "BenchmarkReach/direct/n=128") { dns = ns; dal = allocs }
 }
 END {
   printf("{\n")
@@ -54,20 +48,7 @@ END {
   printf("  \"benchtime\": \"%s\",\n", benchtime)
   printf("  \"benchmarks\": [\n")
   for (i = 1; i <= n; i++) printf("%s%s\n", lines[i], (i < n) ? "," : "")
-  printf("  ]")
-  if (sns > 0 && dns > 0) {
-    printf(",\n  \"summary\": {\n")
-    printf("    \"medium_cfg_nodes\": 128,\n")
-    printf("    \"shared_ns_per_op\": %s,\n", sns)
-    printf("    \"direct_ns_per_op\": %s,\n", dns)
-    printf("    \"speedup_shared_vs_direct\": %.2f,\n", dns / sns)
-    printf("    \"shared_allocs_per_op\": %s,\n", sal)
-    printf("    \"direct_allocs_per_op\": %s,\n", dal)
-    printf("    \"alloc_reduction_pct\": %.2f\n", 100 * (1 - sal / dal))
-    printf("  }\n")
-  } else {
-    printf("\n")
-  }
+  printf("  ]\n")
   printf("}\n")
 }' "$tmp" > "$out"
 

@@ -2,18 +2,16 @@
 # bench_sched.sh — runs the end-to-end scheduler sweep benchmarks and
 # records the trajectory in BENCH_sched.json at the repo root: one
 # mixed batch sweep (pipeline build + sim grid over four benches) at
-# worker budgets 1, N/2, and N on the unified work-stealing scheduler,
-# plus the pool-per-level seed topology at the full budget.
+# worker budgets 1, N/2, and N on the unified work-stealing scheduler.
 #
 # Usage:
 #   scripts/bench_sched.sh [output.json] [baseline.json]
 #   BENCHTIME=1x scripts/bench_sched.sh     # quick smoke mode
 #   BENCHTIME=2x scripts/bench_sched.sh /tmp/fresh.json BENCH_sched.json  # CI gate
 #
-# The summary block compares the unified scheduler against the
-# three-pool baseline at equal core budget — the acceptance number for
-# the one-budget rewire. On a single-core runner the two coincide
-# (both collapse to serial); the speedup is meaningful on multi-core.
+# The summary block compares the full budget against the serial run.
+# On a single-core runner the two coincide; the speedup is meaningful
+# on multi-core.
 #
 # When a baseline is given, the freshly-generated JSON is diffed
 # against it and the script exits nonzero if any benchmark regressed
@@ -44,7 +42,6 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
   lines[n] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
                      name, ns, bytes, allocs)
   if (name == "BenchmarkSchedSweep/unified/w=full") uns = ns
-  if (name == "BenchmarkSchedSweep/threepool/w=full") tns = ns
   if (name == "BenchmarkSchedSweep/unified/w=1") sns = ns
 }
 END {
@@ -55,11 +52,9 @@ END {
   printf("  \"benchmarks\": [\n")
   for (i = 1; i <= n; i++) printf("%s%s\n", lines[i], (i < n) ? "," : "")
   printf("  ]")
-  if (uns > 0 && tns > 0 && sns > 0) {
+  if (uns > 0 && sns > 0) {
     printf(",\n  \"summary\": {\n")
     printf("    \"unified_full_ns_per_op\": %s,\n", uns)
-    printf("    \"threepool_full_ns_per_op\": %s,\n", tns)
-    printf("    \"speedup_unified_vs_threepool\": %.2f,\n", tns / uns)
     printf("    \"serial_ns_per_op\": %s,\n", sns)
     printf("    \"speedup_full_vs_serial\": %.2f\n", sns / uns)
     printf("  }\n")

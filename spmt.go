@@ -219,15 +219,6 @@ type AnalyzeConfig struct {
 	MaxNodes int
 	// MaxInstrs bounds emulation (default emu.DefaultMaxInstrs).
 	MaxInstrs int
-	// ReachWorkers bounds the reach engine's per-source fan-out
-	// (1 forces serial). Output is byte-identical for every worker
-	// count.
-	//
-	// Deprecated: leave zero. Reach now runs on the process-wide
-	// work-stealing scheduler (one worker per core), sharing its
-	// budget with every other parallelism level; a non-zero value
-	// spins up a throwaway pool alongside it and logs a warning.
-	ReachWorkers int
 }
 
 // Analyze runs the program and produces every profiling artefact the
@@ -248,7 +239,7 @@ func Analyze(p *Program, cfgA AnalyzeConfig) (*Artifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spmt: prune: %w", err)
 	}
-	r, err := reach.ComputeOpts(g, reach.Options{Workers: cfgA.ReachWorkers})
+	r, err := reach.Compute(g)
 	if err != nil {
 		return nil, fmt.Errorf("spmt: reach: %w", err)
 	}

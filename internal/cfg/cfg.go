@@ -9,6 +9,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/emu"
@@ -156,12 +157,13 @@ func (g *Graph) Prune(coverage float64, maxNodes int) (*Graph, error) {
 	}
 
 	// Remove pruned nodes coldest-first, splicing around each.
+	var outs []int
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		if keep[v] {
 			continue
 		}
-		spliceOut(succ, pred, v)
+		outs = spliceOut(succ, pred, v, outs[:0])
 	}
 
 	// Freeze the kept subgraph.
@@ -208,13 +210,22 @@ func (g *Graph) Prune(coverage float64, maxNodes int) (*Graph, error) {
 // spliceOut removes node v, redistributing every predecessor edge across
 // v's successors proportionally to the successor weights. Self-loops on
 // v fold into the redistribution (their weight simply drops out of the
-// denominator, preserving entry→exit flow).
-func spliceOut(succ, pred []map[int]float64, v int) {
-	outTotal := 0.0
-	for to, w := range succ[v] {
+// denominator, preserving entry→exit flow). The successor weights are
+// summed in ascending node order: float addition is not associative, so
+// summing in map-iteration order would give a pruned graph whose edge
+// weights differ by ulps from one process (or cluster node) to the next.
+// outs is scratch space for the sorted successor list, returned for
+// reuse.
+func spliceOut(succ, pred []map[int]float64, v int, outs []int) []int {
+	for to := range succ[v] {
 		if to != v {
-			outTotal += w
+			outs = append(outs, to)
 		}
+	}
+	slices.Sort(outs)
+	outTotal := 0.0
+	for _, to := range outs {
+		outTotal += succ[v][to]
 	}
 	for p, wpv := range pred[v] {
 		if p == v {
@@ -240,6 +251,7 @@ func spliceOut(succ, pred []map[int]float64, v int) {
 	}
 	succ[v] = map[int]float64{}
 	pred[v] = map[int]float64{}
+	return outs
 }
 
 // Transition returns the row-stochastic (or substochastic, for nodes

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -229,6 +230,33 @@ func TestTransitionRow(t *testing.T) {
 	for _, v := range row {
 		if v != 0 {
 			t.Errorf("terminal row = %v", row)
+		}
+	}
+}
+
+// TestPruneDeterministic prunes every benchmark's profile repeatedly,
+// at the coverage and node cap the served pipeline uses, and requires
+// bit-identical graphs: Prune's working adjacency is a set of maps,
+// and a weight summed in their iteration order would move by ulps from
+// run to run (and so from one cluster node's artifact to another's).
+func TestPruneDeterministic(t *testing.T) {
+	for _, name := range workload.Benchmarks {
+		g := Build(profileOf(t, name))
+		var first []byte
+		for i := 0; i < 20; i++ {
+			pg, err := g.Prune(0.90, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := pg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = b
+			} else if !bytes.Equal(b, first) {
+				t.Fatalf("%s: prune #%d differs from the first", name, i)
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // report ok=false for any failure — unknown key, unreachable peer,
 // corrupt image — and the engine computes locally. Implementations
 // must be safe for concurrent use, and must bound their own latency
-// (the shard fetcher's FetchTimeout). The context carries trace
+// (the shard fetcher's per-attempt client timeout). The context carries trace
 // identity for span recording and header propagation only — an
 // implementation should detach the caller's cancellation
 // (context.WithoutCancel) before any network call, because a fetch is

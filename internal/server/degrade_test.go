@@ -305,7 +305,7 @@ func TestDegradePeerFaultParity(t *testing.T) {
 		}
 	}
 
-	bs := nodes[0].srv.Cluster().BreakerStats()
+	bs := nodes[0].srv.Cluster().Stats().Breaker
 	if bs.Opens == 0 {
 		t.Errorf("node 0's breaker never opened: %+v", bs)
 	}

@@ -95,19 +95,7 @@ func (s *Server) observe(mux *http.ServeMux) http.Handler {
 			// the admission gate folds into its wait bound.
 			var cancel context.CancelFunc
 			if h := r.Header.Get(shard.DeadlineHeader); h != "" {
-				if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
-					if ms > 0 {
-						ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-					} else {
-						// An explicit "0" (or below) is a SPENT budget,
-						// not an absent one: adopt an already-expired
-						// context so cold compute rejects as 504
-						// immediately while store-resolvable work still
-						// answers. Ignoring it would grant this hop an
-						// unbounded budget the sender never had.
-						ctx, cancel = context.WithTimeout(ctx, -time.Millisecond)
-					}
-				}
+				ctx, cancel = shard.AdoptDeadline(ctx, h)
 			} else if s.defaultDeadline > 0 {
 				ctx, cancel = context.WithTimeout(ctx, s.defaultDeadline)
 			}

@@ -110,13 +110,7 @@ func (s *Server) runSweep() {
 	var scanned, pushed, skipped, errors uint64
 	ctx := context.Background()
 	for _, key := range keys {
-		owners := cl.ReplicaSet(key)
-		var targets []string
-		for _, n := range owners {
-			if n != cl.Self() {
-				targets = append(targets, n)
-			}
-		}
+		targets := cl.PeerOwners(key)
 		if len(targets) == 0 {
 			continue
 		}

@@ -18,7 +18,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -50,44 +49,43 @@ func forwarded(r *http.Request) bool { return r.Header.Get(shard.ForwardedHeader
 // and streams the owner's response through, reporting true when the
 // response has been written. A transient primary failure (transport
 // error, 5xx, death mid-body) earns ONE retry against the key's
-// replica after a jittered backoff — the node holding the warm copy
+// replica (shard.Cluster.WalkOwners) — the node holding the warm copy
 // under R=2. False means the caller must answer locally: standalone
 // mode, forwarded or self-owned requests, and the fallback when the
-// replica set is exhausted. The response bytes are identical on every
-// path — primary, replica, or local — because every node runs the same
+// walk is exhausted. The response bytes are identical on every path —
+// primary, replica, or local — because every node runs the same
 // deterministic pipeline.
 func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	if s.cluster == nil || forwarded(r) || key == "" {
 		return false
 	}
-	set := s.cluster.ReplicaSet(key)
-	if len(set) == 0 {
-		return false
-	}
-	primary := set[0]
+	primary := s.cluster.Owner(key)
 	span, ctx := obs.StartSpan(r.Context(), "route", obs.A("key", key), obs.A("owner", primary))
 	defer span.End()
 	if primary == "" || primary == s.cluster.Self() {
 		span.SetAttr("decision", "local")
 		return false
 	}
-	handled, reason := s.forwardTo(ctx, w, r, primary, body, span)
-	if handled {
-		span.SetAttr("decision", "proxied")
-		return true
-	}
-	if len(set) > 1 && set[1] != s.cluster.Self() {
-		// The bounded replica retry: back off (jittered), then ask the
-		// node replication keeps warm. A cancelled context skips it.
-		if s.cluster.RetrySleep(ctx, key) {
-			span.SetAttr("retry_peer", set[1])
-			retried, _ := s.forwardTo(ctx, w, r, set[1], body, span)
-			s.cluster.NoteRetry(retried)
-			if retried {
-				span.SetAttr("decision", "retried")
-				return true
-			}
+	// reason keeps the primary's failure: it names the fallback when
+	// the walk is exhausted.
+	var reason shard.FallbackReason
+	attempts := 0
+	if s.cluster.WalkOwners(ctx, key, func(peer string) bool {
+		if attempts++; attempts > 1 {
+			span.SetAttr("retry_peer", peer)
 		}
+		handled, why := s.forwardTo(ctx, w, r, peer, body, span)
+		if reason == "" {
+			reason = why
+		}
+		return handled
+	}) {
+		decision := "proxied"
+		if attempts > 1 {
+			decision = "retried"
+		}
+		span.SetAttr("decision", decision)
+		return true
 	}
 	s.cluster.NoteProxyFallback(reason)
 	span.SetAttr("decision", "fallback")
@@ -103,13 +101,10 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, key string
 func (s *Server) forwardTo(ctx context.Context, w http.ResponseWriter, r *http.Request,
 	peer string, body []byte, span *obs.Span) (handled bool, reason shard.FallbackReason) {
 	resp, err := s.cluster.Forward(ctx, peer, r.Method, r.URL.RequestURI(), body)
+	reason = shard.Classify(resp, err)
 	if err != nil {
-		reason := shard.FallbackTransport
-		if errors.Is(err, shard.ErrBreakerOpen) {
-			// Fast-fail: the breaker refused before touching the network,
-			// so the replica retry / local fallback starts immediately.
-			reason = shard.FallbackBreaker
-		}
+		// A breaker fast-fail never touched the network, so the replica
+		// retry / local fallback starts immediately.
 		slog.Warn("server: forward failed",
 			"method", r.Method, "path", r.URL.Path, "peer", peer, "err", err,
 			"trace", obs.TraceIDFrom(ctx))
@@ -120,11 +115,11 @@ func (s *Server) forwardTo(ctx context.Context, w http.ResponseWriter, r *http.R
 	// spans under our trace ID), so the span names it as a peer for the
 	// cross-node stitcher even when we fall back.
 	span.SetAttr("peer", peer)
-	if shard.TransientStatus(resp.StatusCode) {
+	if reason != "" {
 		slog.Warn("server: forward answered 5xx",
 			"method", r.Method, "path", r.URL.Path, "peer", peer, "status", resp.StatusCode,
 			"trace", obs.TraceIDFrom(ctx))
-		return false, shard.FallbackStatus
+		return false, reason
 	}
 	// Buffer the whole (bounded JSON) body before relaying: a peer
 	// dying mid-body must become a retry or local-compute fallback, not
@@ -246,12 +241,13 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, r *http.Request,
 	}
 
 	// runRemote streams one owner's sub-batch, remapping its indices
-	// into the request's. A sub-stream that transiently fails before
-	// delivering a single line is retried ONCE against the group's
-	// replica (any node answers byte-identically; the replica is the
-	// one replication keeps warm). Anything still not received intact —
-	// unreachable owners, non-200, truncated stream, remote error
-	// line — is recomputed locally for byte-exact output.
+	// into the request's. A sub-stream that fails before delivering a
+	// single line is retried ONCE against the replica of the group's
+	// first key (shard.Cluster.WalkOwners; any node answers
+	// byte-identically, and the replica is the one replication keeps
+	// warm). Anything still not received intact — unreachable owners,
+	// non-200, truncated stream, remote error line — is recomputed
+	// locally for byte-exact output.
 	runRemote := func(owner string, idxs []int) {
 		span, fctx := obs.StartSpan(ctx, "fanout",
 			obs.A("owner", owner), obs.A("specs", strconv.Itoa(len(idxs))))
@@ -275,10 +271,7 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, r *http.Request,
 			if err != nil {
 				slog.Warn("server: batch fan-out unreachable",
 					"peer", peer, "specs", len(idxs), "err", err, "trace", obs.TraceIDFrom(fctx))
-				if errors.Is(err, shard.ErrBreakerOpen) {
-					return shard.FallbackBreaker
-				}
-				return shard.FallbackTransport
+				return shard.Classify(nil, err)
 			}
 			span.SetAttr("peer", peer)
 			if resp.StatusCode != http.StatusOK {
@@ -309,27 +302,29 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, r *http.Request,
 			}
 			return ""
 		}
-		reason := stream(owner)
-		if reason != "" {
-			s.cluster.NoteProxyFallback(reason)
-			// Retry the whole sub-batch against the replica only when
-			// NOTHING arrived: a partially-delivered stream means the
-			// owner was up and the missing specs likely failed
-			// deterministically — recompute those locally instead of
-			// replaying delivered work on another node.
-			if received == 0 && len(idxs) > 0 {
-				rset := s.cluster.ReplicaSet(expt.SimKey(sz, resolved[idxs[0]]))
-				if len(rset) > 1 && rset[1] != s.cluster.Self() && rset[1] != owner &&
-					s.cluster.RetrySleep(fctx, "batch/"+rset[1]) {
-					span.SetAttr("retry_peer", rset[1])
-					r2 := stream(rset[1])
-					s.cluster.NoteRetry(r2 == "")
-					if r2 == "" {
-						reason = ""
-					}
-				}
+		// reason keeps the owner's failure, cleared if the retry
+		// completes. The owner's attempt reports a partially-delivered
+		// stream as done: the owner was up and the missing specs likely
+		// failed deterministically, so they are recomputed locally
+		// instead of replaying delivered work on another node. A retry
+		// counts as answered only when its stream is complete.
+		var reason shard.FallbackReason
+		attempts := 0
+		s.cluster.WalkOwners(fctx, expt.SimKey(sz, resolved[idxs[0]]), func(peer string) bool {
+			if attempts++; attempts > 1 {
+				span.SetAttr("retry_peer", peer)
 			}
-		}
+			why := stream(peer)
+			if why == "" {
+				reason = ""
+				return true
+			}
+			if attempts == 1 {
+				reason = why
+				s.cluster.NoteProxyFallback(why)
+			}
+			return attempts == 1 && received > 0
+		})
 		var missing []int
 		for j, ok := range got {
 			if !ok {

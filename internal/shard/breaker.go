@@ -144,23 +144,6 @@ func (b *breaker) forget(node string) {
 	b.mu.Unlock()
 }
 
-// openPeers lists peers whose circuit is currently not closed, sorted.
-func (b *breaker) openPeers() []string {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []string
-	for node, p := range b.peers {
-		if p.state != breakerClosed {
-			out = append(out, node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BreakerStats is the circuit-breaker view under shard.breaker in
 // /v1/stats.
 type BreakerStats struct {
@@ -183,6 +166,7 @@ func (b *breaker) stats() BreakerStats {
 		return BreakerStats{}
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := BreakerStats{
 		Enabled:        true,
 		Opens:          b.opens,
@@ -190,19 +174,11 @@ func (b *breaker) stats() BreakerStats {
 		FastFails:      b.fastFails,
 		HalfOpenProbes: b.halfOpenProbes,
 	}
-	b.mu.Unlock()
-	s.Open = b.openPeers()
+	for node, p := range b.peers {
+		if p.state != breakerClosed {
+			s.Open = append(s.Open, node)
+		}
+	}
+	sort.Strings(s.Open)
 	return s
 }
-
-// AllowPeer exposes the breaker check for callers outside this
-// package that are about to spend something expensive on a peer (the
-// server's forward path asks before buffering a body, for example).
-// A nil or disabled breaker always allows.
-func (c *Cluster) AllowPeer(node string) error { return c.breaker.allow(node) }
-
-// ReportPeer records an externally-observed call outcome for node.
-func (c *Cluster) ReportPeer(node string, ok bool) { c.breaker.report(node, ok) }
-
-// BreakerStats snapshots the circuit-breaker counters.
-func (c *Cluster) BreakerStats() BreakerStats { return c.breaker.stats() }

@@ -148,7 +148,7 @@ func TestBreakerFastFail(t *testing.T) {
 	if n := delivered.Load(); n != 0 {
 		t.Fatalf("peer saw %d requests through a 100%%-error injector", n)
 	}
-	if s := cl.BreakerStats(); s.FastFails < 2 || s.Opens != 1 {
+	if s := cl.Stats().Breaker; s.FastFails < 2 || s.Opens != 1 {
 		t.Fatalf("breaker stats = %+v", s)
 	}
 
@@ -163,7 +163,7 @@ func TestBreakerFastFail(t *testing.T) {
 	} else if errors.Is(err, ErrBreakerOpen) {
 		t.Fatal("half-open probe fast-failed after cooldown")
 	}
-	if s := cl.BreakerStats(); s.Closes != 1 || len(s.Open) != 0 {
+	if s := cl.Stats().Breaker; s.Closes != 1 || len(s.Open) != 0 {
 		t.Fatalf("post-recovery stats = %+v", s)
 	}
 	if delivered.Load() == 0 {

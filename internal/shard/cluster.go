@@ -1,47 +1,21 @@
-// Cluster state and the HTTP peer client: forwarding whole requests to
-// a key's owner, exchanging individual artifact images between shards
-// (pull on store miss, push for R=2 write-through replication), and
-// the control-plane calls behind live membership (join, leave, gossip,
-// health). All counters are atomic; one Cluster is shared by the
-// server handlers, the engine's remote-fetch hook, the write-through
-// replicator, and the health prober.
+// Package shard is the cluster layer: one node's view of the member
+// ring (live membership, suspicion, R-way replica placement), the
+// peer calls that move requests and artifact images between nodes
+// (peer.go: one call seam, one replica walk), the circuit breaker, the
+// health prober, the engine's remote-fetch hook, and the write-through
+// replicator. All counters are atomic; one Cluster is shared by the
+// server handlers, the fetcher, the replicator, and the prober.
 package shard
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
-
-// ForwardedHeader marks intra-cluster requests (value: the sender's
-// node URL). A forwarded request is never re-routed: the receiver
-// computes it locally, which both implements "owned work runs locally"
-// and makes routing loops impossible even when two nodes briefly
-// disagree about membership.
-const ForwardedHeader = "X-Spmt-Forwarded"
-
-// DeadlineHeader carries a request's remaining time budget, in whole
-// milliseconds, across cluster hops. The entry node mints it (from
-// the caller's deadline or -default-deadline), every Forward/fetch
-// leg re-derives it from the sender's context — so it shrinks
-// naturally at each hop — and the receiver applies it as a context
-// deadline, cancelling engine work the moment the budget is spent.
-const DeadlineHeader = "X-Spmt-Deadline"
-
-// ArtifactKindHeader carries the codec kind tag of an artifact image
-// served by GET /v1/artifacts (and pushed by PUT /v1/artifacts).
-const ArtifactKindHeader = "X-Spmt-Artifact-Kind"
 
 // MaxArtifactBytes bounds one fetched or pushed artifact image (traces
 // dominate; a full-size trace is tens of MB). Guards against a
@@ -100,33 +74,14 @@ type Options struct {
 	VNodes int
 	// Replicas is the replication factor R: each key is owned by its
 	// primary plus R-1 next-distinct ring nodes, write-through pushes
-	// artifacts to all of them, and degraded reads walk the set in
-	// order (<= 0 selects DefaultReplicas; 1 disables replication).
+	// artifacts to all of them, and degraded reads walk it in ring
+	// order (WalkOwners; <= 0 selects DefaultReplicas; 1 disables
+	// replication).
 	Replicas int
-	// FetchTimeout bounds one artifact-image fetch or push (default
-	// 30s).
-	FetchTimeout time.Duration
-	// DialTimeout bounds the connect phase of every peer call (default
-	// 5s).
-	DialTimeout time.Duration
-	// CtlTimeout bounds one control-plane call — gossip, join, leave,
-	// membership pull (default 5s). Health probes carry their own
-	// per-probe deadline (ProberOptions.Timeout).
-	CtlTimeout time.Duration
 	// RetryBackoff is the base delay before the single bounded retry a
 	// transiently-failed peer call gets against the key's replica; the
 	// actual delay is jittered in [base/2, base) (default 50ms).
 	RetryBackoff time.Duration
-	// ProxyHeaderTimeout bounds how long a forwarded request waits for
-	// the owner's response HEADERS (default 5m) — the guard against an
-	// owner that is wedged but still accepting connections. Forwarded
-	// requests carry no overall timeout (batch sub-streams and
-	// full-size figure sweeps are legitimately slow, and the caller's
-	// request context already cancels an abandoned proxy); a request
-	// whose owner computes longer than this before its first byte
-	// simply falls back to local compute — correct, just duplicated
-	// work.
-	ProxyHeaderTimeout time.Duration
 	// BreakerFailures is the consecutive transport/5xx failure count
 	// that opens a peer's circuit breaker (0 selects the default 5;
 	// < 0 disables the breaker entirely).
@@ -238,9 +193,7 @@ type Cluster struct {
 	vnodes       int
 	replicas     int
 	retryBackoff time.Duration
-	proxy        *http.Client
-	fetch        *http.Client
-	ctl          *http.Client
+	clients      [numClasses]*http.Client
 	breaker      *breaker
 
 	// mu guards the membership view: the member list, the full ring
@@ -332,18 +285,6 @@ func New(self string, members []string, opts Options) (*Cluster, error) {
 	if !found {
 		return nil, fmt.Errorf("shard: self %q is not in the member list %v", selfN, norm)
 	}
-	if opts.FetchTimeout <= 0 {
-		opts.FetchTimeout = 30 * time.Second
-	}
-	if opts.ProxyHeaderTimeout <= 0 {
-		opts.ProxyHeaderTimeout = 5 * time.Minute
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.CtlTimeout <= 0 {
-		opts.CtlTimeout = 5 * time.Second
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 50 * time.Millisecond
 	}
@@ -354,15 +295,6 @@ func New(self string, members []string, opts Options) (*Cluster, error) {
 	if vn <= 0 {
 		vn = DefaultVNodes
 	}
-	// Forwards carry no overall timeout (the owner may legitimately
-	// compute for minutes), but the connect and header phases must be
-	// bounded: a partitioned owner that drops packets, or one that is
-	// wedged while its socket keeps accepting, would otherwise stall a
-	// routed request indefinitely instead of triggering the
-	// local-compute fallback. Fetches, pushes, and control-plane calls
-	// additionally carry explicit total deadlines — they move bounded
-	// payloads.
-	dial := (&net.Dialer{Timeout: opts.DialTimeout}).DialContext
 	c := &Cluster{
 		self:                selfN,
 		vnodes:              vn,
@@ -372,23 +304,13 @@ func New(self string, members []string, opts Options) (*Cluster, error) {
 		proxyFallbackReason: make(map[FallbackReason]uint64),
 		batchFallbackReason: make(map[FallbackReason]uint64),
 		fetchErrorReason:    make(map[FetchErrorReason]uint64),
-		proxy: &http.Client{Transport: &http.Transport{
-			DialContext:           dial,
-			ResponseHeaderTimeout: opts.ProxyHeaderTimeout,
-		}},
-		fetch: &http.Client{Transport: &http.Transport{DialContext: dial}, Timeout: opts.FetchTimeout},
-		ctl:   &http.Client{Transport: &http.Transport{DialContext: dial}, Timeout: opts.CtlTimeout},
+		clients:             newClients(opts.WrapTransport),
 	}
 	bf := opts.BreakerFailures
 	if bf == 0 {
 		bf = 5
 	}
 	c.breaker = newBreaker(bf, opts.BreakerCooldown)
-	if opts.WrapTransport != nil {
-		c.proxy.Transport = opts.WrapTransport(c.proxy.Transport)
-		c.fetch.Transport = opts.WrapTransport(c.fetch.Transport)
-		c.ctl.Transport = opts.WrapTransport(c.ctl.Transport)
-	}
 	c.epoch = 1
 	c.members = NewRing(norm, 1).Nodes() // sorted, deduped
 	c.rebuildLocked()
@@ -424,9 +346,6 @@ func (c *Cluster) Owner(key string) string {
 
 // Owns reports whether this node owns the artifact key.
 func (c *Cluster) Owns(key string) bool { return c.Owner(key) == c.self }
-
-// RetryBackoff returns the base delay for the bounded replica retry.
-func (c *Cluster) RetryBackoff() time.Duration { return c.retryBackoff }
 
 // Stats snapshots the shard counters.
 func (c *Cluster) Stats() Stats {
@@ -477,26 +396,24 @@ func (c *Cluster) Stats() Stats {
 		s.Suspects = nil
 	}
 	c.reasonMu.Lock()
-	if len(c.proxyFallbackReason) > 0 {
-		s.ProxyFallbackReasons = make(map[string]uint64, len(c.proxyFallbackReason))
-		for r, n := range c.proxyFallbackReason {
-			s.ProxyFallbackReasons[string(r)] = n
-		}
-	}
-	if len(c.batchFallbackReason) > 0 {
-		s.BatchFallbackReasons = make(map[string]uint64, len(c.batchFallbackReason))
-		for r, n := range c.batchFallbackReason {
-			s.BatchFallbackReasons[string(r)] = n
-		}
-	}
-	if len(c.fetchErrorReason) > 0 {
-		s.FetchErrorReasons = make(map[string]uint64, len(c.fetchErrorReason))
-		for r, n := range c.fetchErrorReason {
-			s.FetchErrorReasons[string(r)] = n
-		}
-	}
+	s.ProxyFallbackReasons = reasonCounts(c.proxyFallbackReason)
+	s.BatchFallbackReasons = reasonCounts(c.batchFallbackReason)
+	s.FetchErrorReasons = reasonCounts(c.fetchErrorReason)
 	c.reasonMu.Unlock()
 	return s
+}
+
+// reasonCounts copies a reason split for Stats (nil when empty, so the
+// JSON field is omitted).
+func reasonCounts[R ~string](m map[R]uint64) map[string]uint64 {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]uint64, len(m))
+	for r, n := range m {
+		out[string(r)] = n
+	}
+	return out
 }
 
 // NoteProxyFallback records a failed forward answered locally.
@@ -532,15 +449,6 @@ func (c *Cluster) NoteFetchError(reason FetchErrorReason) {
 	c.reasonMu.Unlock()
 }
 
-// NoteRetry records one bounded replica retry; hit reports whether it
-// answered.
-func (c *Cluster) NoteRetry(hit bool) {
-	c.retries.Add(1)
-	if hit {
-		c.retryHits.Add(1)
-	}
-}
-
 // NoteReplicaReceived records one pushed artifact image accepted
 // (stored) or deduplicated (already resident).
 func (c *Cluster) NoteReplicaReceived(stored bool) {
@@ -560,240 +468,4 @@ func (c *Cluster) NoteSweep(epoch uint64, keys, pushed, skipped, errors uint64) 
 	c.replPushSkipped.Add(skipped)
 	c.sweepErrors.Add(errors)
 	c.lastSweepEpoch.Store(epoch)
-}
-
-// setTraceHeader propagates the context's trace ID onto an
-// intra-cluster request, so the spans the peer records land in the
-// same trace the entry node started and the stitcher can find them.
-func setTraceHeader(ctx context.Context, req *http.Request) {
-	if id := obs.TraceIDFrom(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-}
-
-// setDeadlineHeader stamps the context's remaining budget onto an
-// intra-cluster request as whole milliseconds, rounded UP so a
-// positive sub-millisecond remainder never truncates to a value the
-// receiver could confuse with "no budget". A budget already spent is
-// stamped as an explicit "0", which the receiver treats as expired —
-// distinct from an absent header, which means no deadline at all.
-func setDeadlineHeader(ctx context.Context, req *http.Request) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return
-	}
-	rem := time.Until(dl)
-	if rem <= 0 {
-		req.Header.Set(DeadlineHeader, "0")
-		return
-	}
-	ms := int64((rem + time.Millisecond - 1) / time.Millisecond)
-	req.Header.Set(DeadlineHeader, fmt.Sprintf("%d", ms))
-}
-
-// Forward sends the (already-read) request body to node's
-// path-and-query, marked with ForwardedHeader so the receiver computes
-// locally. The caller owns the returned response and must close its
-// body; a nil response with an error means the node was unreachable
-// and the caller should fall back to the replica or local compute.
-func (c *Cluster) Forward(ctx context.Context, node, method, pathQuery string, body []byte) (*http.Response, error) {
-	if err := c.breaker.allow(node); err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, method, node+pathQuery, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	setTraceHeader(ctx, req)
-	setDeadlineHeader(ctx, req)
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.proxy.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return nil, err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	c.proxied.Add(1)
-	return resp, nil
-}
-
-// GetJSON fetches node's path and decodes the JSON response into v
-// (used by the cluster-aggregate stats view and membership pulls).
-func (c *Cluster) GetJSON(ctx context.Context, node, path string, v any) error {
-	if err := c.breaker.allow(node); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+path, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	setTraceHeader(ctx, req)
-	setDeadlineHeader(ctx, req)
-	resp, err := c.fetch.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard: %s%s: status %d", node, path, resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, MaxArtifactBytes)).Decode(v)
-}
-
-// FetchArtifact asks node for the encoded image of the artifact under
-// key. ok=false with a nil error means the node answered but does not
-// hold the artifact (or its type is memory-only).
-func (c *Cluster) FetchArtifact(ctx context.Context, node, key string) (kind string, data []byte, ok bool, err error) {
-	if err := c.breaker.allow(node); err != nil {
-		return "", nil, false, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		node+"/v1/artifacts?key="+url.QueryEscape(key), nil)
-	if err != nil {
-		return "", nil, false, err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	setTraceHeader(ctx, req)
-	setDeadlineHeader(ctx, req)
-	resp, err := c.fetch.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return "", nil, false, err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return "", nil, false, nil
-	default:
-		return "", nil, false, fmt.Errorf("shard: fetch %q from %s: status %d", key, node, resp.StatusCode)
-	}
-	kind = resp.Header.Get(ArtifactKindHeader)
-	if kind == "" {
-		return "", nil, false, fmt.Errorf("shard: fetch %q from %s: missing %s header", key, node, ArtifactKindHeader)
-	}
-	data, err = io.ReadAll(io.LimitReader(resp.Body, MaxArtifactBytes))
-	if err != nil {
-		return "", nil, false, err
-	}
-	return kind, data, true, nil
-}
-
-// CheckArtifact asks node whether it holds the artifact under key —
-// the header-only probe the re-replication sweep runs before shipping
-// an image, so an already-replicated key costs one round trip and no
-// payload.
-func (c *Cluster) CheckArtifact(ctx context.Context, node, key string) (bool, error) {
-	if err := c.breaker.allow(node); err != nil {
-		return false, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		node+"/v1/artifacts?check=1&key="+url.QueryEscape(key), nil)
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	setTraceHeader(ctx, req)
-	setDeadlineHeader(ctx, req)
-	resp, err := c.fetch.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return false, err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	default:
-		return false, fmt.Errorf("shard: check %q on %s: status %d", key, node, resp.StatusCode)
-	}
-}
-
-// PushArtifact ships an encoded artifact image to node (the R=2
-// write-through and re-replication transport; the receiving side is
-// PUT /v1/artifacts). stored=false with a nil error means the node
-// already held the key.
-func (c *Cluster) PushArtifact(ctx context.Context, node, key, kind string, data []byte) (stored bool, err error) {
-	if err := c.breaker.allow(node); err != nil {
-		return false, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		node+"/v1/artifacts?key="+url.QueryEscape(key), bytes.NewReader(data))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	req.Header.Set(ArtifactKindHeader, kind)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	setTraceHeader(ctx, req)
-	setDeadlineHeader(ctx, req)
-	resp, err := c.fetch.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return false, err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("shard: push %q to %s: status %d", key, node, resp.StatusCode)
-	}
-	var out struct {
-		Stored bool `json:"stored"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyLimit)).Decode(&out); err != nil {
-		return false, fmt.Errorf("shard: push %q to %s: %w", key, node, err)
-	}
-	return out.Stored, nil
-}
-
-// HealthDoc is the GET /v1/cluster/health body: liveness plus the
-// membership fingerprint the prober compares for anti-entropy.
-type HealthDoc struct {
-	OK          bool   `json:"ok"`
-	Node        string `json:"node"`
-	Epoch       uint64 `json:"epoch"`
-	Hash        string `json:"hash"`
-	RingVersion uint64 `json:"ring_version"`
-}
-
-// ProbeHealth performs one health probe against node, bounded by the
-// context's deadline. Probes bypass the circuit breaker's allow check
-// (they are the out-of-band recovery path and must never be
-// fast-failed) but their outcomes feed it, so a successful probe
-// closes an open circuit even with no request traffic to half-open
-// it.
-func (c *Cluster) ProbeHealth(ctx context.Context, node string) (HealthDoc, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+healthPath, nil)
-	if err != nil {
-		return HealthDoc{}, err
-	}
-	req.Header.Set(ForwardedHeader, c.self)
-	resp, err := c.ctl.Do(req)
-	if err != nil {
-		c.breaker.report(node, false)
-		return HealthDoc{}, err
-	}
-	c.breaker.report(node, !TransientStatus(resp.StatusCode))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return HealthDoc{}, fmt.Errorf("shard: probe %s: status %d", node, resp.StatusCode)
-	}
-	var doc HealthDoc
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyLimit)).Decode(&doc); err != nil {
-		return HealthDoc{}, err
-	}
-	if !doc.OK {
-		return doc, fmt.Errorf("shard: probe %s: not ok", node)
-	}
-	return doc, nil
 }

@@ -65,3 +65,55 @@ func TestSetDeadlineHeaderRoundsUp(t *testing.T) {
 		t.Fatalf("header = %q (present=%v), want ceil of remaining ms", got2, ok2)
 	}
 }
+
+// TestDeadlineStampThenAdopt runs the header's wire format end to end:
+// a sender's remaining budget is stamped as the header value, and the
+// receiver adopts that value as its context deadline.
+func TestDeadlineStampThenAdopt(t *testing.T) {
+	stamped := func(rem time.Duration) *string { v := deadlineValue(rem); return &v }
+	raw := func(v string) *string { return &v }
+	cases := []struct {
+		name    string
+		header  *string
+		want    string        // the header value on the wire
+		minLeft time.Duration // adopted budget lower bound; < 0: no deadline
+		expired bool
+	}{
+		{"positive budget", stamped(2500 * time.Millisecond), "2500", 2500 * time.Millisecond, false},
+		{"fractional budget rounds up", stamped(2500 * time.Microsecond), "3", 3 * time.Millisecond, false},
+		{"sub-millisecond remainder", stamped(300 * time.Microsecond), "1", time.Millisecond, false},
+		{"spent budget", stamped(-10 * time.Millisecond), "0", 0, true},
+		{"exactly spent", stamped(0), "0", 0, true},
+		{"absent header", raw(""), "", -1, false},
+		{"malformed header", raw("soon"), "soon", -1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if *tc.header != tc.want {
+				t.Fatalf("stamped %q, want %q", *tc.header, tc.want)
+			}
+			before := time.Now()
+			ctx, cancel := AdoptDeadline(context.Background(), *tc.header)
+			dl, has := ctx.Deadline()
+			if tc.minLeft < 0 {
+				if has || cancel != nil {
+					t.Fatalf("adopted a deadline (%v) from %q, want none", dl, *tc.header)
+				}
+				return
+			}
+			if cancel == nil || !has {
+				t.Fatalf("no deadline adopted from %q", *tc.header)
+			}
+			defer cancel()
+			if tc.expired {
+				if ctx.Err() == nil {
+					t.Fatalf("a spent budget adopted a live context (deadline %v)", dl)
+				}
+				return
+			}
+			if left := dl.Sub(before); left < tc.minLeft || left > tc.minLeft+time.Second {
+				t.Fatalf("adopted budget %v, want %v", left, tc.minLeft)
+			}
+		})
+	}
+}

@@ -43,58 +43,42 @@ func NewFetcher(cluster *Cluster, codec engine.Codec) *Fetcher {
 	return &Fetcher{cluster: cluster, codec: codec}
 }
 
-// Fetch walks the key's replica set — primary first, then each
-// replica — asking each peer for the artifact image and decoding the
-// first answer. Any exhausted attempt — unreachable owners, owner
-// misses, corrupt images — is reported as a miss so the engine simply
-// computes the artifact locally; a degraded cluster loses transfer
-// efficiency, never answers.
+// Fetch walks the key's non-self owners (Cluster.WalkOwners: the
+// first, then at most one replica), asking each for the artifact image
+// and decoding the first answer. Any exhausted walk — unreachable
+// owners, owner misses, corrupt images — is reported as a miss so the
+// engine simply computes the artifact locally; a degraded cluster
+// loses transfer efficiency, never answers.
 //
 // The caller's context contributes trace identity only: the network
 // calls run detached from its cancellation (context.WithoutCancel),
 // because the engine shares one in-flight fetch between every
 // concurrent miss on the key — the first caller hanging up must not
 // kill the fetch the others are still waiting on. The fetch client's
-// own FetchTimeout bounds each attempt instead.
+// own timeout bounds each attempt instead.
 func (f *Fetcher) Fetch(ctx context.Context, key string) (any, bool) {
 	kind := engine.JobKind(key)
 	if !fetchableKinds[kind] {
 		return nil, false
 	}
-	peers := make([]string, 0, f.cluster.Replicas())
-	for _, n := range f.cluster.ReplicaSet(key) {
-		if n != f.cluster.Self() {
-			peers = append(peers, n)
-		}
-	}
-	if len(peers) == 0 {
+	if len(f.cluster.PeerOwners(key)) == 0 {
 		return nil, false
 	}
 	span, ctx := obs.StartSpan(ctx, "fetch "+kind, obs.A("key", key))
 	defer span.End()
-	nctx := context.WithoutCancel(ctx)
-	for i, peer := range peers {
-		if v, ok := f.fetchFrom(nctx, span, key, peer, i > 0); ok {
-			return v, true
-		}
-	}
-	return nil, false
+	ctx = context.WithoutCancel(ctx)
+	var v any
+	ok := f.cluster.WalkOwners(ctx, key, func(peer string) bool {
+		var hit bool
+		v, hit = f.fetchFrom(ctx, span, key, peer)
+		return hit
+	})
+	return v, ok
 }
 
-// fetchFrom attempts one peer. retried marks replica attempts (every
-// peer after the first) for the retry counters.
-func (f *Fetcher) fetchFrom(ctx context.Context, span *obs.Span, key, peer string, retried bool) (any, bool) {
-	if retried {
-		// The primary failed or missed; this is the bounded replica
-		// retry, so back off first and count it.
-		if !f.cluster.RetrySleep(ctx, key) {
-			return nil, false
-		}
-	}
+// fetchFrom attempts one peer.
+func (f *Fetcher) fetchFrom(ctx context.Context, span *obs.Span, key, peer string) (any, bool) {
 	wireKind, data, ok, err := f.cluster.FetchArtifact(ctx, peer, key)
-	if retried {
-		f.cluster.NoteRetry(err == nil && ok)
-	}
 	if err != nil {
 		f.cluster.NoteFetchError(FetchErrTransport)
 		span.SetAttr("outcome", "error")

@@ -19,13 +19,11 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"slices"
@@ -284,10 +282,11 @@ func (c *Cluster) Replicas() int { return c.replicas }
 func (c *Cluster) ReplicationDropped() uint64 { return c.replDropped.Load() }
 
 // membershipPath is the gossip endpoint; joinPath/leavePath the
-// operator-facing membership mutations.
+// operator-facing membership mutations; healthPath the prober's.
 const (
 	membershipPath = "/v1/cluster/membership"
 	joinPath       = "/v1/cluster/join"
+	leavePath      = "/v1/cluster/leave"
 	healthPath     = "/v1/cluster/health"
 )
 
@@ -300,29 +299,10 @@ func (c *Cluster) JoinVia(ctx context.Context, seed string) (Membership, error) 
 	if err != nil {
 		return Membership{}, err
 	}
-	body, err := json.Marshal(struct {
-		Node string `json:"node"`
-	}{Node: c.self})
-	if err != nil {
-		return Membership{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, seedN+joinPath, bytes.NewReader(body))
-	if err != nil {
-		return Membership{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, c.self)
-	resp, err := c.ctl.Do(req)
-	if err != nil {
-		return Membership{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Membership{}, fmt.Errorf("shard: join via %s: status %d", seedN, resp.StatusCode)
-	}
 	var ms Membership
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyLimit)).Decode(&ms); err != nil {
-		return Membership{}, fmt.Errorf("shard: join via %s: %w", seedN, err)
+	if err := c.callJSON(ctx, seedN, peerReq{class: classControl, method: http.MethodPost, path: joinPath, body: c.selfBody()},
+		maxBodyLimit, &ms); err != nil {
+		return Membership{}, err
 	}
 	if !slices.Contains(ms.Members, c.self) {
 		return Membership{}, fmt.Errorf("shard: join via %s: returned membership omits self", seedN)
@@ -340,16 +320,7 @@ func (c *Cluster) LeaveVia(ctx context.Context, peer string) error {
 	if err != nil {
 		return err
 	}
-	body, _ := json.Marshal(struct {
-		Node string `json:"node"`
-	}{Node: c.self})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peerN+"/v1/cluster/leave", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, c.self)
-	resp, err := c.ctl.Do(req)
+	resp, err := c.call(ctx, peerN, peerReq{class: classControl, method: http.MethodPost, path: leavePath, body: c.selfBody()})
 	if err != nil {
 		return err
 	}
@@ -360,11 +331,23 @@ func (c *Cluster) LeaveVia(ctx context.Context, peer string) error {
 	return nil
 }
 
+// selfBody is the join/leave request body naming this node.
+func (c *Cluster) selfBody() []byte {
+	body, _ := json.Marshal(struct {
+		Node string `json:"node"`
+	}{Node: c.self})
+	return body
+}
+
 // Gossip pushes ms to every member except self and adopts any newer
 // view a receiver answers with (the receiver may have seen a later
 // change). Push failures are logged, not fatal: the prober's
 // anti-entropy comparison repairs missed gossip on its next round.
 func (c *Cluster) Gossip(ctx context.Context, ms Membership) {
+	body, err := json.Marshal(ms)
+	if err != nil {
+		return
+	}
 	var wg sync.WaitGroup
 	for _, m := range ms.Members {
 		if m == c.self {
@@ -373,41 +356,16 @@ func (c *Cluster) Gossip(ctx context.Context, ms Membership) {
 		wg.Add(1)
 		go func(m string) {
 			defer wg.Done()
-			if err := c.gossipTo(ctx, m, ms); err != nil {
+			var theirs Membership
+			if err := c.callJSON(ctx, m, peerReq{class: classControl, method: http.MethodPost, path: membershipPath, body: body},
+				maxBodyLimit, &theirs); err != nil {
 				slog.Warn("shard: membership gossip failed", "peer", m, "epoch", ms.Epoch, "err", err)
+				return
 			}
+			c.AdoptMembership(theirs, false)
 		}(m)
 	}
 	wg.Wait()
-}
-
-// gossipTo pushes ms to one peer and adopts the peer's answer if it is
-// newer than ours.
-func (c *Cluster) gossipTo(ctx context.Context, peer string, ms Membership) error {
-	body, err := json.Marshal(ms)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+membershipPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, c.self)
-	resp, err := c.ctl.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var theirs Membership
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyLimit)).Decode(&theirs); err != nil {
-		return err
-	}
-	c.AdoptMembership(theirs, false)
-	return nil
 }
 
 // PullMembership fetches peer's membership view and adopts it if

@@ -317,27 +317,86 @@ func TestProberAntiEntropy(t *testing.T) {
 	})
 }
 
-func TestTransientStatusAndRetrySleep(t *testing.T) {
+func TestTransientStatusAndOwnerWalk(t *testing.T) {
 	for code, want := range map[int]bool{200: false, 404: false, 499: false, 500: true, 503: true} {
 		if TransientStatus(code) != want {
 			t.Errorf("TransientStatus(%d) = %v, want %v", code, !want, want)
 		}
 	}
 
-	cl, err := New("http://a:1", []string{"http://a:1"}, Options{VNodes: 4, RetryBackoff: 10 * time.Millisecond})
+	// Four members at R=4: every key has three non-self owners, and
+	// the walk must still attempt at most two of them, in ring order.
+	self := "http://a:1"
+	members := []string{self, "http://b:1", "http://c:1", "http://d:1"}
+	cl, err := New(self, members, Options{VNodes: 4, Replicas: 4, RetryBackoff: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const key = "sim/x"
+	var want []string
+	for _, n := range cl.ReplicaSet(key) {
+		if n != self {
+			want = append(want, n)
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("non-self owners = %v, want 3", want)
+	}
+	walk := func(ctx context.Context, answer func(i int) bool) ([]string, bool) {
+		var got []string
+		ok := cl.WalkOwners(ctx, key, func(peer string) bool {
+			got = append(got, peer)
+			return answer(len(got) - 1)
+		})
+		return got, ok
+	}
+	retries := func() (uint64, uint64) {
+		st := cl.Stats()
+		return st.PeerRetries, st.PeerRetrySuccesses
+	}
+
+	if got, ok := walk(context.Background(), func(int) bool { return true }); !ok || !slices.Equal(got, want[:1]) {
+		t.Errorf("healthy primary: attempts %v ok=%v, want %v true", got, ok, want[:1])
+	}
+	if r, h := retries(); r != 0 || h != 0 {
+		t.Errorf("a first-attempt answer counted retries %d/%d", r, h)
+	}
+
 	start := time.Now()
-	if !cl.RetrySleep(context.Background(), "sim/x") {
-		t.Error("an uncancelled RetrySleep must report proceed")
+	if got, ok := walk(context.Background(), func(int) bool { return false }); ok || !slices.Equal(got, want[:2]) {
+		t.Errorf("failing owners: attempts %v ok=%v, want %v false", got, ok, want[:2])
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("backoff slept %v, want at least base/2", d)
 	}
+	if r, h := retries(); r != 1 || h != 0 {
+		t.Errorf("failed retry counted %d/%d, want 1/0", r, h)
+	}
+
+	if got, ok := walk(context.Background(), func(i int) bool { return i == 1 }); !ok || !slices.Equal(got, want[:2]) {
+		t.Errorf("replica answer: attempts %v ok=%v, want %v true", got, ok, want[:2])
+	}
+	if r, h := retries(); r != 2 || h != 1 {
+		t.Errorf("answered retry counted %d/%d, want 2/1", r, h)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if cl.RetrySleep(ctx, "sim/x") {
-		t.Error("a cancelled context must abort the retry")
+	if got, ok := walk(ctx, func(int) bool { return false }); ok || len(got) != 1 {
+		t.Errorf("cancelled context: attempts %v ok=%v, want the primary only", got, ok)
+	}
+	if r, _ := retries(); r != 2 {
+		t.Errorf("a cancelled backoff counted a retry (%d)", r)
+	}
+
+	solo, err := New(self, []string{self}, Options{VNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.WalkOwners(context.Background(), key, func(string) bool {
+		t.Error("a single-member cluster attempted a peer")
+		return true
+	}) {
+		t.Error("a walk with no peer owners reported an answer")
 	}
 }

@@ -129,12 +129,7 @@ func (r *Replicator) push(j replJob) {
 	kindTag := engine.JobKind(j.key)
 	span, ctx := obs.StartSpan(j.ctx, "replicate "+kindTag, obs.A("key", j.key))
 	defer span.End()
-	var targets []string
-	for _, n := range r.cl.ReplicaSet(j.key) {
-		if n != r.cl.Self() {
-			targets = append(targets, n)
-		}
-	}
+	targets := r.cl.PeerOwners(j.key)
 	if len(targets) == 0 {
 		span.SetAttr("outcome", "no-targets")
 		return

@@ -1,9 +1,8 @@
 // Command spmt-experiments regenerates the paper's evaluation: every
 // figure of HPCA'02 §4 as an ASCII table (optionally CSV), over the
 // synthetic SpecInt95-like suite. The per-benchmark pipelines are built
-// concurrently on one work-stealing scheduler (-parallel is the core
-// budget shared by jobs, reach fan-out, and GEMM tiles); the output is
-// identical to a serial run.
+// concurrently under one scheduler core budget (-parallel, shared by
+// every job run and fan-out); the output is identical to a serial run.
 //
 // Usage:
 //

@@ -104,7 +104,7 @@ func main() {
 	admitMaxWait := flag.Duration("admit-max-wait", 0, "max time one request may queue for admission (0 = 2s)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive peer failures before its circuit opens (0 = default 5; negative disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
-	speculate := flag.Bool("speculate", false, "speculatively precompute predicted artifacts on idle workers (responses are byte-identical either way)")
+	speculate := flag.Bool("speculate", false, "speculatively precompute predicted artifacts on idle cores (responses are byte-identical either way)")
 	replRepair := flag.Duration("repl-repair-interval", 0, "replication drop-repair tick period (0 = 2s)")
 	faultInject := flag.String("fault-inject", "", "TESTING ONLY: deterministic fault spec, e.g. 'disk.read:0.1,peer.latency:0.5:100ms'")
 	faultSeed := flag.Uint64("fault-seed", 1, "TESTING ONLY: seed for -fault-inject decisions")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,8 +228,8 @@ func waitGoroutines(t *testing.T, n int) {
 }
 
 // TestEngineCloseStopsOwnScheduler: an engine that built its own
-// scheduler stops it on Close, so repeated New/Close cycles leave no
-// worker goroutines behind, and a closed engine still answers Exec.
+// scheduler closes it on Close, repeated New/Close cycles leave no
+// goroutines behind, and a closed engine still answers Exec.
 func TestEngineCloseStopsOwnScheduler(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -249,25 +250,21 @@ func TestEngineCloseStopsOwnScheduler(t *testing.T) {
 }
 
 // TestEngineCloseLeavesSharedScheduler: a scheduler passed in through
-// Options.Sched belongs to the caller and keeps its workers.
+// Options.Sched belongs to the caller, so Engine.Close must not close
+// it — a closed scheduler withdraws every speculative call unrun.
 func TestEngineCloseLeavesSharedScheduler(t *testing.T) {
 	s := sched.New(2)
 	defer s.Close()
 	New(Options{Sched: s}).Close()
 
-	// On a running scheduler Go queues fn for a worker and returns; on
-	// a stopped one it would run fn inline and block here.
-	release := make(chan struct{})
-	defer close(release)
-	g := s.NewGroup()
-	queued := make(chan struct{})
-	go func() {
-		g.Go("t", func() { <-release })
-		close(queued)
-	}()
+	var ran atomic.Bool
+	done, _ := s.Speculate("t", func() { ran.Store(true) })
 	select {
-	case <-queued:
+	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Engine.Close stopped a scheduler it did not build")
+		t.Fatal("speculative call on an idle shared scheduler never finished")
+	}
+	if !ran.Load() {
+		t.Fatal("Engine.Close closed a scheduler it did not build: Speculate was withdrawn")
 	}
 }

@@ -2,19 +2,19 @@
 // experiment suite and the spmt-server HTTP service. It models the
 // analysis pipeline (generate → emulate → prune CFG → reach →
 // select/heuristic tables → simulate) as keyed jobs with dependencies
-// and runs them on the process's work-stealing scheduler
-// (internal/sched), deduplicating in-flight work singleflight-style
-// and memoizing completed artifacts in a content-keyed LRU cache.
+// and runs them under the process's core budget (internal/sched),
+// deduplicating in-flight work singleflight-style and memoizing
+// completed artifacts in a content-keyed LRU cache.
 //
 // Every job is a pure function of its dependency outputs, so execution
 // is deterministic: a run with 8 workers produces results identical to
-// a serial run, only faster. A scheduler worker is held only while a
-// job's Run function executes; waits on dependencies or on another
-// caller's in-flight computation are helping waits (the worker runs
-// other queued tasks meanwhile), so arbitrarily deep dependency chains
-// cannot deadlock the pool. Because jobs run on the same scheduler
-// that the suite's bench and sim fan-outs fork into, one core budget
-// covers every parallelism level at once.
+// a serial run, only faster. A core is held only while a job's Run
+// function executes; dependency resolution, joins on another caller's
+// in-flight computation, admission waits and remote fetches all wait
+// while holding none, so arbitrarily deep dependency chains cannot
+// starve the budget. Because the suite's bench and sim fan-outs draw
+// on the same scheduler, one core budget covers every parallelism
+// level at once.
 package engine
 
 import (
@@ -33,6 +33,12 @@ import (
 // cache) before Run is invoked; their outputs are passed to Run in
 // declaration order. A Job with an empty Key is never cached or
 // deduplicated — it always runs.
+//
+// Run is a leaf: it holds one core of the scheduler while it runs, so
+// it must compute and return without waiting on the engine — anything
+// it needs from another job belongs in Deps. Its context is marked as
+// holding a core; an Exec under it that has to compute fails with
+// sched.ErrNested rather than waiting for a second core.
 type Job struct {
 	// Key is the content key: it must encode everything that
 	// determines the output (program, size class, config hash).
@@ -45,14 +51,14 @@ type Job struct {
 
 // Options configures an Engine.
 type Options struct {
-	// Sched, when non-nil, is the work-stealing scheduler jobs execute
-	// on — normally the one process-wide scheduler, so engine jobs and
-	// the fan-outs that submit them share a single core budget. When
-	// nil the engine builds its own scheduler with Workers workers.
+	// Sched, when non-nil, is the scheduler whose core budget jobs run
+	// under — normally the one process-wide scheduler, so engine jobs
+	// and the fan-outs that submit them share a single core budget.
+	// When nil the engine builds its own scheduler with Workers cores.
 	Sched *sched.Scheduler
 	// Workers sizes the scheduler the engine builds when Sched is nil
-	// (<= 0 selects runtime.GOMAXPROCS(0)); Workers == 1 gives serial
-	// execution. Ignored when Sched is set.
+	// (<= 0 selects runtime.GOMAXPROCS(0)); Workers == 1 runs one job
+	// Run at a time. Ignored when Sched is set.
 	Workers int
 	// CacheEntries bounds the artifact cache (<= 0 selects
 	// DefaultCacheEntries).
@@ -102,13 +108,11 @@ type Stats struct {
 	// Deduped counts calls that joined an in-flight computation of the
 	// same key instead of running it again.
 	Deduped uint64 `json:"deduped"`
-	// Workers is the scheduler's pool size.
-	Workers int `json:"workers"`
 	// Latency holds per-job-kind Run-latency histograms, keyed by the
 	// leading segment of the job key ("emu", "reach", "sim", …).
 	Latency map[string]LatencyStats `json:"latency,omitempty"`
-	// Sched snapshots the work-stealing scheduler the engine runs on:
-	// steals, queue depths, per-worker occupancy.
+	// Sched snapshots the scheduler the engine runs on: core budget,
+	// waiting runs, busy time.
 	Sched sched.Stats `json:"sched"`
 }
 
@@ -118,7 +122,7 @@ type call struct {
 	err  error
 }
 
-// Engine runs jobs on a bounded worker pool over a shared artifact
+// Engine runs jobs under a bounded core budget over a shared artifact
 // cache. It is safe for concurrent use; a single Engine is meant to be
 // shared by every suite and server request in the process so they hit
 // each other's warm artifacts.
@@ -171,11 +175,11 @@ func New(opts Options) *Engine {
 	}
 }
 
-// Workers returns the scheduler's pool size.
+// Workers returns the scheduler's core budget.
 func (e *Engine) Workers() int { return e.sched.Workers() }
 
 // Sched returns the scheduler the engine runs jobs on, so nested
-// parallelism (the suite's bench and sim sweeps) can fork into the
+// parallelism (the suite's bench and sim sweeps) can fan out under the
 // same core budget.
 func (e *Engine) Sched() *sched.Scheduler { return e.sched }
 
@@ -185,7 +189,6 @@ func (e *Engine) Stats() Stats {
 		Cache:    e.mem.Stats(),
 		Executed: e.executed.Load(),
 		Deduped:  e.deduped.Load(),
-		Workers:  e.sched.Workers(),
 		Latency:  e.latency.snapshot(),
 		Sched:    e.sched.Stats(),
 	}
@@ -201,10 +204,10 @@ func (e *Engine) Disk() *DiskTier { return e.disk }
 
 // Close drains the disk tier's async-write queue and stops its
 // background writer, so every computed artifact is durable before the
-// process exits, and stops the scheduler New built when Options.Sched
+// process exits, and closes the scheduler New built when Options.Sched
 // was nil (a scheduler passed in is left running). The engine itself
-// stays usable: later disk writes degrade to synchronous, and later
-// jobs on a stopped scheduler run on the calling goroutine. Close is
+// stays usable: later disk writes degrade to synchronous, and jobs
+// still run under the closed scheduler's core budget. Close is
 // idempotent and safe to call concurrently with itself and with
 // in-flight Exec calls — every Close returns only after the queue has
 // drained, so an ops shutdown path racing a SIGTERM drain cannot
@@ -271,9 +274,11 @@ func (e *Engine) WarmFromDisk() int {
 }
 
 // Exec resolves a job: cache hit, join of an identical in-flight
-// computation, or a fresh run on the worker pool (dependencies first,
-// concurrently). The error of a failed run is propagated to every
-// joined caller; failures are never cached, so a later Exec retries.
+// computation, or a fresh run under the core budget (dependencies
+// first, concurrently). Exec itself holds no core: only the job's Run
+// does, for as long as it runs. The error of a failed run is
+// propagated to every joined caller; failures are never cached, so a
+// later Exec retries.
 //
 // Under an active trace, every keyed resolution records an
 // "exec <kind>" span whose tier attribute names how the artifact was
@@ -313,11 +318,12 @@ func (e *Engine) Exec(ctx context.Context, j Job) (any, error) {
 			e.mu.Unlock()
 			e.deduped.Add(1)
 			span.SetAttr("tier", "deduped")
-			// A scheduler worker that joins here lends its core to a
-			// substitute worker for the duration of the wait, so the
-			// leader's Run always has a runner and no core idles.
-			if err := e.sched.Block(ctx, c.done); err != nil {
-				return nil, err
+			// The joiner waits holding no core, so the leader can
+			// always get one for its Run.
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
 			if c.err != nil && ctx.Err() == nil &&
 				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
@@ -371,9 +377,9 @@ func (e *Engine) Exec(ctx context.Context, j Job) (any, error) {
 		// This is the authoritative gate — a warm classification made at
 		// the HTTP layer can be stale by now (the artifact evicted
 		// between probe and here), and only this point knows a compute
-		// is really about to happen.
+		// is really about to happen. Its wait holds no core.
 		if gate := computeGateFrom(ctx); gate != nil {
-			release, gerr := e.gateCompute(ctx, gate)
+			release, gerr := gate(ctx)
 			if gerr != nil {
 				span.SetAttr("tier", "rejected")
 				span.SetAttr("error", gerr.Error())
@@ -396,10 +402,9 @@ func (e *Engine) Exec(ctx context.Context, j Job) (any, error) {
 	return e.run(ctx, j)
 }
 
-// run resolves dependencies and executes j.Run as a scheduler task:
-// queued for a worker when called from an external goroutine, inline
-// when the caller already is one (a dependency resolved on a worker
-// must not wait for a second worker to free up).
+// run resolves dependencies holding no core, then executes j.Run on
+// the calling goroutine once the scheduler grants it one; j.Run gets
+// the core-holding context Do hands out.
 func (e *Engine) run(ctx context.Context, j Job) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -408,13 +413,14 @@ func (e *Engine) run(ctx context.Context, j Job) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	kind := JobKind(j.Key)
 	var v any
-	if derr := e.sched.Do(ctx, JobKind(j.Key), func() {
+	if derr := e.sched.Do(ctx, kind, func(ctx context.Context) {
 		e.executed.Add(1)
-		rs, rctx := obs.StartSpan(ctx, "run "+JobKind(j.Key))
+		rs, rctx := obs.StartSpan(ctx, "run "+kind)
 		start := time.Now()
 		v, err = j.Run(rctx, deps)
-		e.latency.observe(JobKind(j.Key), time.Since(start))
+		e.latency.observe(kind, time.Since(start))
 		rs.End()
 	}); derr != nil {
 		return nil, derr

@@ -345,3 +345,156 @@ func TestJoinerRetriesAfterLeaderCancelled(t *testing.T) {
 		t.Fatal("joiner hung after leader cancellation")
 	}
 }
+
+// TestNoSingleflightCycleAtOneWorker: with a budget of one core, two
+// callers join one key whose leader still has a dependency chain to
+// run, and a third caller queues at the admission gate behind the
+// leader. Every one of those waits must hold no core — a joiner or a
+// gate waiter sitting on the only core would leave the leader's chain
+// without one and wedge all three callers.
+func TestNoSingleflightCycleAtOneWorker(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+
+	// A capacity-1 admission gate: the first leader computation of a
+	// request takes the slot and covers the request's whole job tree.
+	slot := make(chan struct{}, 1)
+	proceed := make(chan struct{}) // pauses the leader's tree once
+	queued := make(chan struct{})  // closed when the third caller waits
+	var pauseOnce, queueOnce sync.Once
+	gated := func(ctx context.Context) context.Context {
+		var held atomic.Bool
+		return WithComputeGate(ctx, func(ctx context.Context) (func(), error) {
+			if held.Load() {
+				pauseOnce.Do(func() { <-proceed })
+				return nil, nil
+			}
+			select {
+			case slot <- struct{}{}:
+			default:
+				queueOnce.Do(func() { close(queued) })
+				select {
+				case slot <- struct{}{}:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			held.Store(true)
+			return func() { held.Store(false); <-slot }, nil
+		})
+	}
+
+	d2 := leaf("d2", 2)
+	d1 := Job{Key: "d1", Deps: []Job{d2}, Run: func(ctx context.Context, deps []any) (any, error) {
+		return deps[0].(int) + 1, nil
+	}}
+	k := Job{Key: "k", Deps: []Job{d1}, Run: func(ctx context.Context, deps []any) (any, error) {
+		return deps[0].(int) * 10, nil
+	}}
+	x := leaf("x", "x")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	type result struct {
+		v   any
+		err error
+	}
+	leader, joiner, other := make(chan result, 1), make(chan result, 1), make(chan result, 1)
+	exec := func(out chan<- result, j Job) {
+		v, err := e.Exec(gated(ctx), j)
+		out <- result{v, err}
+	}
+
+	// The leader takes the gate slot for k, then pauses in the gate on
+	// its way to d1, holding no core.
+	go exec(leader, k)
+	waitFor(t, func() bool { return len(slot) == 1 })
+	// The second caller joins the leader's in-flight k.
+	go exec(joiner, k)
+	waitFor(t, func() bool { return e.Stats().Deduped == 1 })
+	// The third caller queues at the gate for x.
+	go exec(other, x)
+	select {
+	case <-queued:
+	case <-ctx.Done():
+		t.Fatal("the third caller never queued at the gate")
+	}
+	close(proceed)
+
+	for name, ch := range map[string]chan result{"leader": leader, "joiner": joiner} {
+		select {
+		case r := <-ch:
+			if r.err != nil || r.v != 30 {
+				t.Fatalf("%s: k = %v, %v; want 30", name, r.v, r.err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("%s never finished: a wait is holding the only core", name)
+		}
+	}
+	select {
+	case r := <-other:
+		if r.err != nil || r.v != "x" {
+			t.Fatalf("gated caller: x = %v, %v", r.v, r.err)
+		}
+	case <-ctx.Done():
+		t.Fatal("the gated caller never finished")
+	}
+	if st := e.Stats(); st.Executed != 4 {
+		t.Fatalf("executed %d runs, want 4 (d2, d1, k, x)", st.Executed)
+	}
+}
+
+// waitFor polls cond until it holds or ten seconds pass.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestJoinerCancelledWhileWaiting: a joiner whose own context ends
+// while the leader still runs returns its context error at once and
+// leaves the leader's computation alone.
+func TestJoinerCancelledWhileWaiting(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	j := Job{Key: "k", Run: func(ctx context.Context, deps []any) (any, error) {
+		close(started)
+		<-release
+		return "ok", nil
+	}}
+	leader := make(chan error, 1)
+	go func() {
+		v, err := e.Exec(context.Background(), j)
+		if err == nil && v != "ok" {
+			err = fmt.Errorf("leader got %v", v)
+		}
+		leader <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	joiner := make(chan error, 1)
+	go func() {
+		_, err := e.Exec(ctx, j)
+		joiner <- err
+	}()
+	waitFor(t, func() bool { return e.Stats().Deduped == 1 })
+	cancel()
+	select {
+	case err := <-joiner:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("joiner err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cancelled joiner kept waiting on the leader")
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -48,33 +48,3 @@ func IsSpeculative(ctx context.Context) bool {
 	v, _ := ctx.Value(specCtxKey{}).(bool)
 	return v
 }
-
-// gateCompute runs the context's ComputeGate without holding a
-// scheduler core through the gate's (possibly queued) wait: called on
-// a worker, sched.Block lends the core to a substitute until the gate
-// answers. If the wait is abandoned (ctx cancelled) while the gate is
-// still deciding, a shed goroutine releases whatever the gate
-// eventually grants.
-func (e *Engine) gateCompute(ctx context.Context, gate ComputeGate) (func(), error) {
-	type answer struct {
-		release func()
-		err     error
-	}
-	ch := make(chan answer, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rel, err := gate(ctx)
-		ch <- answer{rel, err}
-	}()
-	if err := e.sched.Block(ctx, done); err != nil {
-		go func() {
-			if a := <-ch; a.release != nil {
-				a.release()
-			}
-		}()
-		return nil, err
-	}
-	a := <-ch
-	return a.release, a.err
-}

@@ -14,7 +14,7 @@ import (
 //
 // Every runner declares its whole simulation grid up front and submits
 // it through Suite.gridSims as a single engine dependency layer, so one
-// figure saturates the worker pool (and dedups against warm artifacts)
+// figure saturates the core budget (and dedups against warm artifacts)
 // instead of issuing its simulations sequentially. Assembly from the
 // positional results is then pure formatting, so a parallel run stays
 // byte-identical to a serial one.

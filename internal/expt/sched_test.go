@@ -14,10 +14,10 @@ import (
 )
 
 // TestSchedDeterminismAcrossWorkerCounts pins the scheduler's
-// reserve/commit contract end to end: a full figure sweep — the
+// disjoint-slot contract end to end: a full figure sweep — the
 // per-bench pipeline fan-out, the engine's dependency layers and the
-// sim grids all riding the same work-stealing pool — must render
-// byte-identical output for every worker count, including one.
+// sim grids all sharing one core budget — must render byte-identical
+// output for every worker count, including one.
 func TestSchedDeterminismAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep at four worker counts")
@@ -38,15 +38,14 @@ func TestSchedDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestNestedGroupStress drives the nesting the pool carries — bench
-// pipelines, then a batch of sims that join their table and trace
-// artifacts through singleflight — on a deliberately tiny pool,
-// repeatedly, and pins zero result divergence against a serial engine.
-// Each round builds two benches' pipelines cold (nothing prewarmed),
-// so pipeline and sim tasks contend for the same three workers while
-// singleflight joins lend cores back and forth. It exercises no
-// reach-source or tile tasks: reach and its linalg kernels run
-// serially inside their one engine job.
+// TestNestedGroupStress drives the nesting the scheduler carries —
+// bench pipelines, then a batch of sims that join their table and
+// trace artifacts through singleflight — on a deliberately small
+// budget, repeatedly, and pins zero result divergence against a serial
+// engine. Each round builds two benches' pipelines cold (nothing
+// prewarmed), so pipeline and sim leaves contend for the same three
+// cores while singleflight joiners wait holding none. Reach and its
+// linalg kernels run serially inside their one engine job.
 func TestNestedGroupStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated cold pipeline builds")
@@ -91,8 +90,8 @@ func TestNestedGroupStress(t *testing.T) {
 }
 
 // TestGoroutineCountBoundedBySweep is the acceptance bound: goroutine
-// count during a full sweep must be O(workers) — primaries plus a
-// bounded set of Block substitutes — never O(workers × jobs).
+// count during a full sweep must be O(workers) — the caller plus at
+// most `workers` For helpers — never O(workers × jobs).
 func TestGoroutineCountBoundedBySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build and sweep")
@@ -126,8 +125,7 @@ func TestGoroutineCountBoundedBySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sample()
-	// Budget: the 8 primaries, substitutes covering singleflight joins
-	// (bounded by concurrent blocked joins, a small multiple of W), and
+	// Budget: the scheduler's 8 helper slots, with room to spare, and
 	// slack for the runtime and harness.
 	limit := int64(before + workers + 8*workers + 16)
 	if got := peak.Load(); got > limit {

@@ -392,7 +392,7 @@ func (s *Suite) Sim(b *Bench, sp SimSpec) (*cluster.Result, error) {
 
 // execLayer submits the jobs as one dependency layer of an anonymous
 // (uncached) gather job: the engine resolves every dependency
-// concurrently, bounded by its worker pool, and returns the outputs in
+// concurrently, bounded by its core budget, and returns the outputs in
 // declaration order.
 func (s *Suite) execLayer(jobs []engine.Job) ([]any, error) {
 	v, err := s.eng.Exec(s.ctx, engine.Job{
@@ -411,8 +411,8 @@ type SimReq struct {
 	Spec  SimSpec
 }
 
-// SimEach runs every requested simulation concurrently as a task group
-// on the engine's scheduler (tables resolved as dependencies, identical
+// SimEach runs every requested simulation concurrently as one For
+// fan-out on the engine's scheduler (tables resolved as dependencies, identical
 // specs deduplicated in flight) and invokes done(i, result, err) as
 // each simulation completes. done is called exactly once per request,
 // concurrently from multiple goroutines, so it must be safe for
@@ -444,8 +444,8 @@ func (s *Suite) SimEach(ctx context.Context, reqs []SimReq, done func(i int, r *
 }
 
 // SimBatch runs every requested simulation as one engine dependency
-// layer, so a figure's whole configuration grid saturates the worker
-// pool instead of being issued sequentially. Results are positional:
+// layer, so a figure's whole configuration grid saturates the core
+// budget instead of being issued sequentially. Results are positional:
 // out[i] answers reqs[i]. Identical specs are deduplicated by the
 // engine (in-flight and cached), and results are deterministic — a
 // batch returns the same *cluster.Result pointers the equivalent

@@ -113,9 +113,9 @@ func TestDegradeSaturationParity(t *testing.T) {
 	}
 }
 
-// blockEngineWorker occupies every scheduler worker of eng with jobs
-// that park until the returned release func is called. With the
-// worker pool pinned, any subsequent engine task sits queued until its
+// blockEngineWorker occupies every scheduler core of eng with jobs
+// that park until the returned release func is called. With the core
+// budget pinned, any subsequent engine run waits for a core until its
 // context expires, making deadline tests deterministic: they never
 // race a fast compute against a short timer.
 func blockEngineWorker(t *testing.T, eng *engine.Engine, workers int) (release func()) {
@@ -149,7 +149,7 @@ func blockEngineWorker(t *testing.T, eng *engine.Engine, workers int) (release f
 // X-Spmt-Deadline header. The engine's only worker is pinned by a
 // parked job, so the deadlined request's compute can never start
 // before its budget expires — the scheduler withdraws it from the
-// queue and the handler maps the context error to 504.
+// core queue and the handler maps the context error to 504.
 func TestDegradeDeadline504(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	srv := NewWithConfig(eng, nil, Config{

@@ -283,7 +283,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Engine job Run invocations (store misses not deduplicated).", float64(es.Executed))
 	mw.Counter("spmt_engine_jobs_deduped_total",
 		"Engine calls that joined an identical in-flight computation.", float64(es.Deduped))
-	mw.Gauge("spmt_engine_workers", "Engine worker-pool size.", float64(es.Workers))
 	for _, kind := range sortedKeys(es.Latency) {
 		mw.Histogram("spmt_engine_job_duration_seconds",
 			"Engine job Run latency by job kind.", latencySnapshot(es.Latency[kind]),
@@ -292,36 +291,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	ss := es.Sched
 	mw.Gauge("spmt_sched_workers",
-		"Work-stealing scheduler core budget (primary workers).", float64(ss.Workers))
+		"Scheduler core budget.", float64(ss.Workers))
 	mw.Counter("spmt_sched_tasks_submitted_total",
-		"Tasks handed to the scheduler (inline runs included).", float64(ss.Submitted))
+		"Do calls, For helpers and Speculate calls handed to the scheduler.", float64(ss.Submitted))
 	mw.Counter("spmt_sched_tasks_completed_total",
-		"Tasks retired by the scheduler (cancelled tasks included).", float64(ss.Completed))
-	mw.Counter("spmt_sched_tasks_inline_total",
-		"Do calls that ran inline on a worker already holding a core.", float64(ss.Inline))
+		"Scheduler submissions retired (withdrawn calls included).", float64(ss.Completed))
 	for _, kind := range sortedKeys(ss.TasksByKind) {
 		mw.Counter("spmt_sched_tasks_total",
-			"Tasks submitted by kind (bench, dep, sim, spec).",
+			"Scheduler submissions by kind (job kinds, bench, dep, sim, spec).",
 			float64(ss.TasksByKind[kind]), obs.A("kind", kind))
 	}
-	mw.Counter("spmt_sched_steals_total",
-		"Tasks claimed from another worker's deque.", float64(ss.Steals))
-	mw.Counter("spmt_sched_parks_total",
-		"Worker idle-park transitions (blocking waits included).", float64(ss.Parks))
-	mw.Counter("spmt_sched_unparks_total",
-		"Worker wake-ups from an idle park.", float64(ss.Unparks))
 	mw.Gauge("spmt_sched_queue_depth",
-		"Tasks queued across the global queue and every deque.", float64(ss.QueueDepth))
-	mw.Counter("spmt_sched_substitutes_spawned_total",
-		"Substitute workers spawned to cover blocked primaries.", float64(ss.SubstitutesSpawned))
-	mw.Gauge("spmt_sched_substitutes_alive",
-		"Substitute workers currently live.", float64(ss.SubstitutesAlive))
-	var busy float64
-	for _, pw := range ss.PerWorker {
-		busy += pw.BusyMS
-	}
+		"Do calls waiting for a core.", float64(ss.QueueDepth))
 	mw.Counter("spmt_sched_worker_busy_seconds_total",
-		"Cumulative task-execution time summed over primary workers.", busy/1000)
+		"Cumulative time spent running job leaves while holding a core.", ss.BusyMS/1000)
 
 	writeTierCounter := func(name, help string, mem uint64, disk func(*engine.DiskStats) uint64) {
 		mw.Counter(name, help, float64(mem), obs.A("tier", "mem"))
@@ -388,7 +371,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.spec != nil {
 		sp := s.spec.stats()
 		mw.Counter("spmt_spec_predictions_total", "Successor predictions produced by the spawn-point predictor.", float64(sp.Predictions))
-		mw.Counter("spmt_spec_launches_total", "Speculative artifact computations launched on idle workers.", float64(sp.Launches))
+		mw.Counter("spmt_spec_launches_total", "Speculative artifact computations launched on idle cores.", float64(sp.Launches))
 		mw.Counter("spmt_spec_hits_total", "Speculatively-launched artifacts later requested on the demand path.", float64(sp.Hits))
 		mw.Counter("spmt_spec_withdrawn_total", "Predictions stood down for saturation or drain.", float64(sp.Withdrawn))
 		mw.Counter("spmt_spec_skipped_total", "Predictions vetoed as already stored or not self-owned.", float64(sp.Skipped))

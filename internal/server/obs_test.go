@@ -424,7 +424,7 @@ func TestMetricsExposition(t *testing.T) {
 	for key, want := range map[string]float64{
 		"spmt_engine_jobs_executed_total":     float64(st.Engine.Executed),
 		"spmt_engine_jobs_deduped_total":      float64(st.Engine.Deduped),
-		"spmt_engine_workers":                 float64(st.Engine.Workers),
+		"spmt_sched_workers":                  float64(st.Engine.Sched.Workers),
 		`spmt_store_hits_total{tier="mem"}`:   float64(st.Engine.Cache.Hits),
 		`spmt_store_misses_total{tier="mem"}`: float64(st.Engine.Cache.Misses),
 		`spmt_store_hits_total{tier="disk"}`:  float64(st.Engine.Disk.Hits),

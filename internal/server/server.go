@@ -86,7 +86,7 @@ type Config struct {
 	Fault *fault.Injector
 	// Speculate enables speculative artifact precomputation: a spawn-
 	// point predictor over the request stream (internal/spec) launches
-	// predicted cold artifacts on idle scheduler workers. Off by
+	// predicted cold artifacts while scheduler cores are idle. Off by
 	// default; /v1 responses are byte-identical either way.
 	Speculate bool
 	// ReplRepairInterval paces the replication drop-repair tick (0 =

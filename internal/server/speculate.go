@@ -2,10 +2,11 @@
 // applied to the request stream. Each resolved request spec is one
 // "instruction" in a program trace; the predictor (internal/spec)
 // learns which spec tends to follow which, and the speculator launches
-// the predicted NEXT artifact on idle scheduler workers — so a client
-// sweeping a config space finds each successive artifact already in
-// the tiered store. Speculation is strictly additive: launches run
-// only on otherwise-idle workers (sched's speculative task class),
+// the predicted NEXT artifact while scheduler cores are idle — so a
+// client sweeping a config space finds each successive artifact
+// already in the tiered store. Speculation is strictly additive:
+// launches start only while a core is idle and no demand run waits
+// (sched's speculative class),
 // bypass admission accounting, stand down when the gate saturates or
 // the server drains, and never change a /v1 response byte.
 package server
@@ -83,8 +84,8 @@ func (sc *speculation) note(key string, p specPayload) {
 
 // launch computes one predicted artifact through the normal engine
 // path — singleflight, tiered store, write-through replication — under
-// a fresh trace whose exec spans are marked speculative. It runs on a
-// scheduler worker claimed from the speculative queue.
+// a fresh trace whose exec spans are marked speculative. The scheduler
+// starts it from its speculative queue once a core is idle.
 func (sc *speculation) launch(ctx context.Context, p spec.Prediction) (int64, error) {
 	pl, ok := p.Payload.(specPayload)
 	if !ok {

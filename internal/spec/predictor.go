@@ -9,7 +9,7 @@
 // those transitions in a bounded per-key successor table (a first-
 // order Markov chain, degrading gracefully to last-successor when the
 // successor bound is 1); the Speculator turns predictions into
-// background computations on idle workers and keeps the books the
+// background computations on idle cores and keeps the books the
 // paper keeps for spawn schemes: predictions, launches, hits, wasted
 // bytes, accuracy.
 package spec

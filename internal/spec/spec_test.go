@@ -187,21 +187,26 @@ func TestSpeculatorIneligibleSkips(t *testing.T) {
 	waitStats(t, sp, func(s Stats) bool { return s.Skipped == 1 })
 }
 
+// TestSpeculatorLaunchErrorCounted: a launch that fails — by error
+// or by panicking on its own goroutine — counts as an error, charges
+// no bytes and scores no hit.
 func TestSpeculatorLaunchErrorCounted(t *testing.T) {
-	sp := NewSpeculator(Options{
-		Submit: syncSubmit,
-		Launch: func(ctx context.Context, p Prediction) (int64, error) {
-			return 0, errors.New("boom")
-		},
-	})
-	defer sp.Close()
-	sp.Enqueue([]Prediction{{Key: "k"}})
-	st := waitStats(t, sp, func(s Stats) bool { return s.Errors == 1 })
-	if st.WastedBytes != 0 {
-		t.Fatalf("failed launch charged %d wasted bytes", st.WastedBytes)
-	}
-	if sp.MarkDemand("k") {
-		t.Fatal("failed launch must not score hits")
+	for name, launch := range map[string]func(context.Context, Prediction) (int64, error){
+		"error": func(context.Context, Prediction) (int64, error) { return 0, errors.New("boom") },
+		"panic": func(context.Context, Prediction) (int64, error) { panic("boom") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sp := NewSpeculator(Options{Submit: syncSubmit, Launch: launch})
+			defer sp.Close()
+			sp.Enqueue([]Prediction{{Key: "k"}})
+			st := waitStats(t, sp, func(s Stats) bool { return s.Errors == 1 })
+			if st.WastedBytes != 0 {
+				t.Fatalf("failed launch charged %d wasted bytes", st.WastedBytes)
+			}
+			if sp.MarkDemand("k") {
+				t.Fatal("failed launch must not score hits")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package spec
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -15,16 +16,16 @@ type Options struct {
 	QueueLimit int
 	// Paused reports that speculation should stand down right now
 	// (admission gate saturated, server draining). Checked both when a
-	// prediction is dequeued and again when its task is claimed by an
-	// idle worker, so a prediction queued before saturation is
-	// withdrawn rather than computed during it.
+	// prediction is dequeued and again when the scheduler starts its
+	// launch, so a prediction queued before saturation is withdrawn
+	// rather than computed during it.
 	Paused func() bool
 	// Eligible reports whether key is worth launching: typically
 	// "self-owned by the shard ring and not already in the store".
 	Eligible func(key string) bool
 	// Launch computes the predicted artifact under ctx and returns its
-	// approximate stored size in bytes. It runs on a scheduler worker
-	// claimed from the speculative queue.
+	// approximate stored size in bytes. The scheduler starts it from
+	// its speculative queue once a core is idle.
 	Launch func(ctx context.Context, p Prediction) (bytes int64, err error)
 	// Submit hands fn to the scheduler's speculative (idle-only) task
 	// class, returning the task's completion channel and a withdraw
@@ -40,10 +41,9 @@ type launchRecord struct {
 }
 
 // Speculator drains a bounded queue of predictions through the
-// scheduler's idle-only task class, one launch at a time — speculation
-// never holds more than one worker even on an idle pool, so a demand
-// burst finds the pool at full strength minus at most one task that is
-// stolen last anyway. It keeps the paper's spawn-scheme books: every
+// scheduler's idle-only task class, one launch at a time, and each
+// job leaf a launch reaches queues for a core behind any demand
+// already waiting. It keeps the paper's spawn-scheme books: every
 // launched artifact is remembered (bounded LRU) so a later demand
 // request for its key counts as a hit and reclaims its bytes from the
 // wasted-bytes gauge. All methods are safe for concurrent use.
@@ -149,10 +149,10 @@ func (sp *Speculator) run() {
 	}
 }
 
-// launch runs on a scheduler worker claimed from the speculative
-// queue. Conditions are re-checked here — at claim time — so a task
-// queued healthy but claimed during saturation or drain withdraws
-// instead of computing.
+// launch is what the scheduler starts from its speculative queue.
+// Conditions are re-checked here — at start time — so a task queued
+// healthy but started during saturation or drain withdraws instead of
+// computing.
 func (sp *Speculator) launch(p Prediction) {
 	if sp.ctx.Err() != nil || sp.opts.Paused() {
 		sp.count(&sp.withdrawn)
@@ -165,7 +165,7 @@ func (sp *Speculator) launch(p Prediction) {
 	sp.mu.Lock()
 	sp.launches++
 	sp.mu.Unlock()
-	bytes, err := sp.opts.Launch(sp.ctx, p)
+	bytes, err := sp.call(p)
 	if err != nil {
 		sp.count(&sp.errors)
 		return
@@ -181,6 +181,18 @@ func (sp *Speculator) launch(p Prediction) {
 		sp.launched[p.Key] = sp.ll.PushFront(&launchRecord{key: p.Key, bytes: bytes})
 		sp.wastedBytes += bytes
 	}
+}
+
+// call runs Launch and reports a panic in it as a failed launch: the
+// launch runs on a goroutine of its own, where an unrecovered panic
+// would end the process over a computation no request asked for.
+func (sp *Speculator) call(p Prediction) (bytes int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("spec: launch of %q panicked: %v", p.Key, r)
+		}
+	}()
+	return sp.opts.Launch(sp.ctx, p)
 }
 
 // MarkDemand tells the speculator a demand request for key arrived; it

@@ -2,7 +2,7 @@
 # bench_sched.sh — runs the end-to-end scheduler sweep benchmarks and
 # records the trajectory in BENCH_sched.json at the repo root: one
 # mixed batch sweep (pipeline build + sim grid over four benches) at
-# worker budgets 1, N/2, and N on the unified work-stealing scheduler.
+# core budgets 1, N/2, and N on the shared scheduler.
 #
 # Usage:
 #   scripts/bench_sched.sh [output.json] [baseline.json]

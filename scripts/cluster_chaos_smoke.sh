@@ -20,16 +20,20 @@ cd "$(dirname "$0")/.."
 
 API0=${API0:-28080} API1=${API1:-28081} API2=${API2:-28082} APIREF=${APIREF:-28083}
 OPS0=${OPS0:-29090} OPS1=${OPS1:-29091} OPS2=${OPS2:-29092}
-BIN=$(mktemp -d)/spmt-server
+BINDIR=$(mktemp -d)
+BIN=$BINDIR/spmt-server
 LOG=$(mktemp -d)
 STORE=$(mktemp -d)
 
 go build -o "$BIN" ./cmd/spmt-server
 
+# On exit (fail has printed the node-log tail by then) stop the nodes,
+# then remove the binary, log and store directories.
 pids=()
 cleanup() {
   for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
   wait 2>/dev/null || true
+  rm -rf "$BINDIR" "$LOG" "$STORE"
 }
 trap cleanup EXIT
 

@@ -9,15 +9,19 @@ cd "$(dirname "$0")/.."
 
 API0=${API0:-18080} API1=${API1:-18081}
 OPS0=${OPS0:-19090} OPS1=${OPS1:-19091}
-BIN=$(mktemp -d)/spmt-server
+BINDIR=$(mktemp -d)
+BIN=$BINDIR/spmt-server
 LOG=$(mktemp -d)
 
 go build -o "$BIN" ./cmd/spmt-server
 
+# On exit (any failure has printed its node logs by then) stop the
+# nodes, then remove the binary and log directories.
 pids=()
 cleanup() {
   for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
   wait 2>/dev/null || true
+  rm -rf "$BINDIR" "$LOG"
 }
 trap cleanup EXIT
 
@@ -80,7 +84,7 @@ check_scrape() {
     spmt_engine_job_duration_seconds_bucket \
     spmt_sched_workers \
     spmt_sched_tasks_submitted_total \
-    spmt_sched_steals_total \
+    spmt_sched_tasks_completed_total \
     spmt_sched_queue_depth \
     spmt_store_hits_total \
     spmt_store_bytes_resident \

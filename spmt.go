@@ -116,8 +116,8 @@ func ParseSize(s string) (SizeClass, error) { return workload.ParseSize(s) }
 func ParseBytes(s string) (int64, error) { return engine.ParseBytes(s) }
 
 // Concurrent job-execution engine (re-exported from internal/engine).
-// An Engine runs keyed, dependency-ordered jobs on a bounded worker
-// pool, deduplicates identical in-flight work, and memoizes artifacts
+// An Engine runs keyed, dependency-ordered jobs under a bounded core
+// budget, deduplicates identical in-flight work, and memoizes artifacts
 // in a content-keyed LRU cache. One Engine is meant to be shared by
 // everything in the process — experiment suites, server handlers,
 // ad-hoc analyses — so they hit each other's warm artifacts.
@@ -125,9 +125,8 @@ type (
 	// Engine is the concurrent job executor.
 	Engine = engine.Engine
 	// EngineOptions configures the scheduler core budget (Workers —
-	// one work-stealing pool shared by job execution, reach fan-out,
-	// and GEMM tiles), cache entry capacity, and the cache's
-	// resident-byte budget (CacheBytes).
+	// one budget shared by every job run and fan-out), cache entry
+	// capacity, and the cache's resident-byte budget (CacheBytes).
 	EngineOptions = engine.Options
 	// EngineJob is one keyed unit of work with dependencies.
 	EngineJob = engine.Job
@@ -144,7 +143,7 @@ type (
 )
 
 // NewEngine builds a concurrent job engine. The zero Options select a
-// GOMAXPROCS-sized worker pool and the default artifact-cache capacity.
+// GOMAXPROCS-sized core budget and the default artifact-cache capacity.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // OpenDiskTier opens (creating if needed) a persistent artifact store

@@ -277,16 +277,16 @@ func (g *Gate) RetryAfter() int {
 
 // Stats is a point-in-time snapshot for /metrics and /v1/stats.
 type Stats struct {
-	Capacity         int    `json:"capacity"`
-	InUse            int    `json:"in_use"`
-	Waiting          int    `json:"waiting"`
-	QueueLimit       int    `json:"queue_limit"`
-	Admitted         uint64 `json:"admitted"`
-	Bypassed         uint64 `json:"bypassed"`
-	RejectedFull     uint64 `json:"rejected_full"`
-	RejectedDeadline uint64 `json:"rejected_deadline"`
-	RejectedWait     uint64 `json:"rejected_wait"`
-	Canceled         uint64 `json:"canceled"`
+	Capacity         int    `json:"capacity" metric:"spmt_admit_capacity" help:"Admission gate weighted capacity (0 = gate disabled)."`
+	InUse            int    `json:"in_use" metric:"spmt_admit_in_use" help:"Weight units held by admitted computes."`
+	Waiting          int    `json:"waiting" metric:"spmt_admit_waiting" help:"Requests queued for admission."`
+	QueueLimit       int    `json:"queue_limit" metric:"-"`
+	Admitted         uint64 `json:"admitted" metric:"spmt_admit_admitted_total" help:"Cold computes admitted through the gate."`
+	Bypassed         uint64 `json:"bypassed" metric:"spmt_admit_bypassed_total" help:"Store-resolvable requests that bypassed the gate."`
+	RejectedFull     uint64 `json:"rejected_full" metric:"spmt_admit_rejected_total,reason=full" help:"Requests shed by the admission gate, by cause."`
+	RejectedDeadline uint64 `json:"rejected_deadline" metric:"spmt_admit_rejected_total,reason=deadline" help:"Requests shed by the admission gate, by cause."`
+	RejectedWait     uint64 `json:"rejected_wait" metric:"spmt_admit_rejected_total,reason=wait" help:"Requests shed by the admission gate, by cause."`
+	Canceled         uint64 `json:"canceled" metric:"spmt_admit_rejected_total,reason=canceled" help:"Requests shed by the admission gate, by cause."`
 }
 
 // Stats snapshots the gate. Nil-safe: a nil gate reports zeros.

@@ -59,15 +59,15 @@ func sizeOf(v any) int64 {
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
+	Hits      uint64 `json:"hits" metric:"spmt_store_hits_total,tier=mem" help:"Artifact store hits by tier."`
+	Misses    uint64 `json:"misses" metric:"spmt_store_misses_total,tier=mem" help:"Artifact store misses by tier."`
+	Evictions uint64 `json:"evictions" metric:"spmt_store_evictions_total,tier=mem" help:"Artifact store evictions by tier."`
+	Entries   int    `json:"entries" metric:"spmt_store_entries,tier=mem" help:"Artifacts resident by tier."`
+	Capacity  int    `json:"capacity" metric:"-"`
 	// BytesResident is the approximate resident size of all entries;
 	// BytesCapacity is the byte budget (0 = unbounded).
-	BytesResident int64 `json:"bytes_resident"`
-	BytesCapacity int64 `json:"bytes_capacity,omitempty"`
+	BytesResident int64 `json:"bytes_resident" metric:"spmt_store_bytes_resident,tier=mem" help:"Approximate resident bytes by tier."`
+	BytesCapacity int64 `json:"bytes_capacity,omitempty" metric:"spmt_store_bytes_capacity,tier=mem" help:"Byte budget by tier (0 = unbounded)."`
 }
 
 type cacheEntry struct {

@@ -45,25 +45,25 @@ const (
 
 // DiskStats is a point-in-time snapshot of disk-tier effectiveness.
 type DiskStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Writes    uint64 `json:"writes"`
-	Evictions uint64 `json:"evictions"`
+	Hits      uint64 `json:"hits" metric:"spmt_store_hits_total,tier=disk" help:"Artifact store hits by tier."`
+	Misses    uint64 `json:"misses" metric:"spmt_store_misses_total,tier=disk" help:"Artifact store misses by tier."`
+	Writes    uint64 `json:"writes" metric:"spmt_store_disk_writes_total" help:"Artifact images written to disk."`
+	Evictions uint64 `json:"evictions" metric:"spmt_store_evictions_total,tier=disk" help:"Artifact store evictions by tier."`
 	// Errors counts corrupt or unreadable artifact files dropped
 	// (each also counts as a miss) and failed writes.
-	Errors  uint64 `json:"errors"`
-	Entries int    `json:"entries"`
+	Errors  uint64 `json:"errors" metric:"spmt_store_disk_errors_total" help:"Disk tier write/read/decode errors."`
+	Entries int    `json:"entries" metric:"spmt_store_entries,tier=disk" help:"Artifacts resident by tier."`
 	// BytesResident is the total size of resident artifact files;
 	// BytesCapacity is the byte budget (0 = unbounded).
-	BytesResident int64 `json:"bytes_resident"`
-	BytesCapacity int64 `json:"bytes_capacity,omitempty"`
+	BytesResident int64 `json:"bytes_resident" metric:"spmt_store_bytes_resident,tier=disk" help:"Approximate resident bytes by tier."`
+	BytesCapacity int64 `json:"bytes_capacity,omitempty" metric:"spmt_store_bytes_capacity,tier=disk" help:"Byte budget by tier (0 = unbounded)."`
 	// AsyncWrites counts artifacts accepted onto the background
 	// writer's queue; QueueDepth is how many of them have not yet
 	// reached disk; Flushes counts explicit queue drains (Flush and
 	// Close).
-	AsyncWrites uint64 `json:"async_writes"`
-	QueueDepth  int    `json:"queue_depth"`
-	Flushes     uint64 `json:"flushes"`
+	AsyncWrites uint64 `json:"async_writes" metric:"spmt_store_disk_async_writes_total" help:"Writes accepted by the async queue."`
+	QueueDepth  int    `json:"queue_depth" metric:"spmt_store_disk_queue_depth" help:"Writes queued for the background writer."`
+	Flushes     uint64 `json:"flushes" metric:"spmt_store_disk_flushes_total" help:"Explicit flushes (Flush/Close) of the async queue."`
 }
 
 type diskEntry struct {

@@ -11,7 +11,11 @@ import (
 
 // faultArtifact builds a small encodable artifact for disk-tier tests.
 func faultArtifact() *linalg.Matrix {
-	return linalg.Identity(3)
+	m := linalg.NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }
 
 func TestDiskFaultReadError(t *testing.T) {

@@ -104,13 +104,13 @@ type Stats struct {
 	Disk  *DiskStats `json:"disk,omitempty"`
 	// Executed counts Run invocations (cache misses that were not
 	// deduplicated onto another caller's in-flight run).
-	Executed uint64 `json:"executed"`
+	Executed uint64 `json:"executed" metric:"spmt_engine_jobs_executed_total" help:"Engine job Run invocations (store misses not deduplicated)."`
 	// Deduped counts calls that joined an in-flight computation of the
 	// same key instead of running it again.
-	Deduped uint64 `json:"deduped"`
+	Deduped uint64 `json:"deduped" metric:"spmt_engine_jobs_deduped_total" help:"Engine calls that joined an identical in-flight computation."`
 	// Latency holds per-job-kind Run-latency histograms, keyed by the
 	// leading segment of the job key ("emu", "reach", "sim", …).
-	Latency map[string]LatencyStats `json:"latency,omitempty"`
+	Latency map[string]LatencyStats `json:"latency,omitempty" metric:"spmt_engine_job_duration_seconds,kind" help:"Engine job Run latency by job kind."`
 	// Sched snapshots the scheduler the engine runs on: core budget,
 	// waiting runs, busy time.
 	Sched sched.Stats `json:"sched"`

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // latencyBucketsMS lists the histogram's bucket upper bounds in
@@ -29,6 +31,21 @@ type LatencyStats struct {
 	// trailing element for the +Inf bucket.
 	BucketsMS []float64 `json:"buckets_ms"`
 	Counts    []uint64  `json:"counts"`
+}
+
+// Hist converts the millisecond histogram into the seconds-based form
+// /metrics exposes.
+func (ls LatencyStats) Hist() obs.HistSnapshot {
+	bounds := make([]float64, len(ls.BucketsMS))
+	for i, ms := range ls.BucketsMS {
+		bounds[i] = ms / 1000
+	}
+	return obs.HistSnapshot{
+		Bounds: bounds,
+		Counts: ls.Counts,
+		Sum:    ls.TotalMS / 1000,
+		Count:  ls.Count,
+	}
 }
 
 // latencyHist is the mutable histogram behind a LatencyStats snapshot.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/engine"
+	"repro/internal/linalg"
 	"repro/internal/reach"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -99,7 +100,11 @@ func TestSizerHonesty(t *testing.T) {
 		{"cfg.Graph", 256, func() engine.Sizer {
 			return must(cfg.Build(run.Profile).Prune(0.90, 256))
 		}},
-		{"linalg.Matrix", 256, func() engine.Sizer { return r.Prob.Clone() }},
+		{"linalg.Matrix", 256, func() engine.Sizer {
+			m := linalg.NewMatrix(0, 0)
+			m.CopyFrom(r.Prob)
+			return m
+		}},
 		{"reach.Result", 256, func() engine.Sizer { return must(reach.Compute(g)) }},
 		{"core.Table", 32, func() engine.Sizer {
 			return must(core.Select(run.Profile, g, r, run.Trace, core.Config{}))

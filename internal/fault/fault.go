@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -245,9 +244,11 @@ func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // Stats is a point-in-time injection census for /metrics and
 // /v1/stats.
 type Stats struct {
-	Seed      uint64            `json:"seed"`
-	Decisions map[string]uint64 `json:"decisions"` // per op: opportunities seen
-	Injected  map[string]uint64 `json:"injected"`  // per op: faults injected
+	Seed uint64 `json:"seed" metric:"-"`
+	// Decisions counts, per op, the opportunities seen; Injected the
+	// faults injected.
+	Decisions map[string]uint64 `json:"decisions" metric:"spmt_fault_decisions_total,op" help:"Fault-injection coin flips by operation."`
+	Injected  map[string]uint64 `json:"injected" metric:"spmt_fault_injected_total,op" help:"Faults actually injected by operation."`
 }
 
 // Stats snapshots the injector. Nil-safe: a nil injector reports a
@@ -262,20 +263,6 @@ func (in *Injector) Stats() Stats {
 		s.Injected[string(op)] = r.hits.Load()
 	}
 	return s
-}
-
-// Ops lists the configured ops in sorted order (for stable metric
-// emission). Nil-safe.
-func (in *Injector) Ops() []Op {
-	if in == nil {
-		return nil
-	}
-	ops := make([]Op, 0, len(in.rules))
-	for op := range in.rules {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	return ops
 }
 
 // Gate is a tiny helper for tests that want to block until the

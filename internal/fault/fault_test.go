@@ -16,8 +16,8 @@ func TestFaultParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in.Ops(); len(got) != 3 {
-		t.Fatalf("ops = %v, want 3 entries", got)
+	if len(in.rules) != 3 {
+		t.Fatalf("rules = %v, want 3 entries", in.rules)
 	}
 	if in.rules[PeerLatency].param != 20*time.Millisecond {
 		t.Fatalf("latency param = %v", in.rules[PeerLatency].param)

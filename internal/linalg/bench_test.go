@@ -30,7 +30,8 @@ func randomSquare(n int, seed uint64) *Matrix {
 }
 
 // BenchmarkLinalg measures the packed register-blocked kernels (the
-// *-into benchmarks), the allocating convenience wrappers, and the
+// *-into benchmarks), the same kernels into freshly allocated storage
+// (*-alloc), and the
 // scalar reference kernels they replaced (*-ref) — so the micro-kernel
 // speedup is visible in one table. scripts/bench_reach.sh records
 // these numbers alongside BenchmarkReach in BENCH_reach.json.
@@ -41,7 +42,7 @@ func BenchmarkLinalg(b *testing.B) {
 		b.Run(fmt.Sprintf("factor-alloc/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factor(a); err != nil {
+				if err := NewLU(n).FactorInto(a); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -85,7 +86,7 @@ func BenchmarkLinalg(b *testing.B) {
 		b.Run(fmt.Sprintf("mul-alloc/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Mul(a, bm)
+				MulInto(NewMatrix(n, n), a, bm)
 			}
 		})
 		b.Run(fmt.Sprintf("mul-into/n=%d", n), func(b *testing.B) {

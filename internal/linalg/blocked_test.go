@@ -98,7 +98,7 @@ func TestBlockedFactorMatchesReference(t *testing.T) {
 func TestBlockedInverseMatchesReference(t *testing.T) {
 	for _, n := range awkwardSizes {
 		a := randomDiagDominant(n, randFilled(1, 2*n+5, uint64(n)*3+1).Data)
-		f, err := Factor(a)
+		f, err := factor(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -107,7 +107,7 @@ func TestBlockedInverseMatchesReference(t *testing.T) {
 		if d := maxAbsDiff(ref.Data, blk.Data); d > 1e-9 {
 			t.Errorf("n=%d: blocked inverse differs from reference by %g", n, d)
 		}
-		prod := Mul(a, blk)
+		prod := mul(a, blk)
 		worst := 0.0
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

@@ -79,7 +79,7 @@ var gemmBufPool = sync.Pool{New: func() any { return new(gemmBuf) }}
 // alias a or b.
 func MulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("linalg: MulInto dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if !useAsm || a.Rows*a.Cols*b.Cols < gemmMinMadds {
 		return MulIntoRef(dst, a, b)
@@ -89,11 +89,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	defer gemmBufPool.Put(buf)
 	gemmBlock(dst, 0, 0, a, 0, 0, b, 0, 0, a.Rows, a.Cols, b.Cols, gemmSet, buf)
 	return dst
-}
-
-// Mul computes C = A·B into a fresh matrix.
-func Mul(a, b *Matrix) *Matrix {
-	return MulInto(NewMatrix(a.Rows, b.Cols), a, b)
 }
 
 // gemmBlock applies C[ci:ci+m, cj:cj+n] op= A[ai:ai+m, ak:ak+kk] ·

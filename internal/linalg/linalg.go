@@ -21,14 +21,14 @@
 //
 // # Allocation contract
 //
-// The convenience entry points (NewMatrix, Factor, Invert, Mul) allocate
-// their results. Every one of them is backed by an in-place kernel that
-// does not allocate at steady state:
+// Only the constructors (NewMatrix, NewLU) allocate. Every kernel works
+// in place and does not allocate at steady state:
 //
 //	FactorInto   factorises into an existing LU's storage
 //	Solve        solves using the LU's internal scratch
 //	InverseInto  writes A⁻¹ into an existing matrix
 //	MulInto      writes A·B into an existing matrix (packed/blocked)
+//	CopyFrom     copies a matrix into an existing one
 //
 // so a caller that computes in a loop (the reach engine factorises,
 // inverts and multiplies once per source node) keeps one LU and its
@@ -52,15 +52,6 @@ type Matrix struct {
 // NewMatrix returns a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // At returns m[i,j].
@@ -94,13 +85,6 @@ func (m *Matrix) reshapeNoClear(rows, cols int) {
 		m.Data = m.Data[:n]
 	}
 	m.Rows, m.Cols = rows, cols
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
 }
 
 // CopyFrom resizes m to a's shape and copies a's content.

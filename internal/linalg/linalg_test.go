@@ -8,6 +8,24 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// factor factorises a into fresh storage.
+func factor(a *Matrix) (*LU, error) {
+	f := NewLU(a.Rows)
+	return f, f.FactorInto(a)
+}
+
+// mul returns A·B in a fresh matrix.
+func mul(a, b *Matrix) *Matrix { return MulInto(NewMatrix(0, 0), a, b) }
+
+// identity returns the n×n identity.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3
 	a := NewMatrix(2, 2)
@@ -15,7 +33,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	f, err := Factor(a)
+	f, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +45,7 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestFactorRequiresSquare(t *testing.T) {
-	if _, err := Factor(NewMatrix(2, 3)); err == nil {
+	if _, err := factor(NewMatrix(2, 3)); err == nil {
 		t.Fatal("expected non-square error")
 	}
 }
@@ -38,26 +56,26 @@ func TestSingularDetected(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := Factor(a); err == nil {
+	if _, err := factor(a); err == nil {
 		t.Fatal("expected singular error")
 	}
 }
 
 func TestIdentityAndMul(t *testing.T) {
-	id := Identity(3)
+	id := identity(3)
 	a := NewMatrix(3, 3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			a.Set(i, j, float64(i*3+j+1))
 		}
 	}
-	p := Mul(a, id)
+	p := mul(a, id)
 	for i := range a.Data {
 		if p.Data[i] != a.Data[i] {
 			t.Fatalf("A·I != A at %d", i)
 		}
 	}
-	p = Mul(id, a)
+	p = mul(id, a)
 	for i := range a.Data {
 		if p.Data[i] != a.Data[i] {
 			t.Fatalf("I·A != A at %d", i)
@@ -97,11 +115,12 @@ func TestInverseProperty(t *testing.T) {
 		}
 		n := int(nRaw%6) + 2
 		a := randomDiagDominant(n, raw)
-		inv, err := Invert(a)
+		f, err := factor(a)
 		if err != nil {
 			return false
 		}
-		prod := Mul(a, inv)
+		inv := f.InverseInto(NewMatrix(0, 0))
+		prod := mul(a, inv)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -142,7 +161,7 @@ func TestSolveMatchesMulVecProperty(t *testing.T) {
 				b[i] += v * x[j]
 			}
 		}
-		fac, err := Factor(a)
+		fac, err := factor(a)
 		if err != nil {
 			return false
 		}
@@ -160,18 +179,24 @@ func TestSolveMatchesMulVecProperty(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := Identity(2)
-	c := a.Clone()
+func TestCopyFromIndependence(t *testing.T) {
+	a := identity(2)
+	c := NewMatrix(0, 0)
+	c.CopyFrom(a)
+	if c.Rows != 2 || c.Cols != 2 || c.At(0, 0) != 1 || c.At(0, 1) != 0 {
+		t.Fatalf("CopyFrom produced %+v", c)
+	}
 	c.Set(0, 0, 9)
 	if a.At(0, 0) != 1 {
-		t.Error("Clone shares storage")
+		t.Error("CopyFrom shares storage")
 	}
 }
 
+// TestFactorIntoMatchesFactor: factorising into an undersized LU grows
+// it and matches a factorisation into fresh storage.
 func TestFactorIntoMatchesFactor(t *testing.T) {
 	a := randomDiagDominant(6, []float64{0.3, 0.9, 0.1, 0.7, 0.52, 0.24, 0.81})
-	want, err := Factor(a)
+	want, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +220,15 @@ func TestFactorIntoMatchesFactor(t *testing.T) {
 	}
 }
 
+// TestInverseIntoMatchesInverse: inverting into an undersized matrix
+// reshapes it and matches an inverse into a fresh n×n matrix.
 func TestInverseIntoMatchesInverse(t *testing.T) {
 	a := randomDiagDominant(5, []float64{0.6, 0.2, 0.9, 0.33, 0.47})
-	f, err := Factor(a)
+	f, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.Inverse()
+	want := f.InverseInto(NewMatrix(5, 5))
 	dst := NewMatrix(1, 1)
 	f.InverseInto(dst)
 	if dst.Rows != 5 || dst.Cols != 5 {
@@ -214,8 +241,10 @@ func TestInverseIntoMatchesInverse(t *testing.T) {
 	}
 }
 
+// TestMulIntoMatchesMul: multiplying into an undersized matrix reshapes
+// it and matches a product into a fresh matrix of the right shape, on
+// rectangular and larger-than-one-block shapes.
 func TestMulIntoMatchesMul(t *testing.T) {
-	// Rectangular and larger-than-one-block shapes.
 	shapes := []struct{ m, k, n int }{{3, 4, 2}, {70, 65, 80}, {128, 128, 128}}
 	for _, sh := range shapes {
 		a, b := NewMatrix(sh.m, sh.k), NewMatrix(sh.k, sh.n)
@@ -232,7 +261,7 @@ func TestMulIntoMatchesMul(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = next()
 		}
-		want := Mul(a, b)
+		want := MulInto(NewMatrix(sh.m, sh.n), a, b)
 		dst := NewMatrix(1, 1)
 		MulInto(dst, a, b)
 		if dst.Rows != sh.m || dst.Cols != sh.n {

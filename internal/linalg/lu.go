@@ -46,21 +46,11 @@ func NewLU(n int) *LU {
 	}
 }
 
-// Factor computes the LU factorisation of a square matrix into fresh
-// storage. The input is not modified.
-func Factor(a *Matrix) (*LU, error) {
-	f := NewLU(a.Rows)
-	if err := f.FactorInto(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // factorPrologue copies a into f's (grown) storage and resets the
 // pivot bookkeeping.
 func (f *LU) factorPrologue(a *Matrix) (int, error) {
 	if a.Rows != a.Cols {
-		return 0, fmt.Errorf("linalg: Factor needs square matrix, got %dx%d", a.Rows, a.Cols)
+		return 0, fmt.Errorf("linalg: FactorInto needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	if f.lu == nil {
@@ -240,11 +230,6 @@ func (f *LU) InverseInto(dst *Matrix) *Matrix {
 	return dst
 }
 
-// Inverse computes A⁻¹ into a fresh matrix.
-func (f *LU) Inverse() *Matrix {
-	return f.InverseInto(NewMatrix(f.lu.Rows, f.lu.Rows))
-}
-
 // solveBlocked runs L·U·X = X' in place over all columns of x:
 // a blocked forward substitution with L (unit diagonal) followed by a
 // blocked back substitution with U. Within a band the substitution is
@@ -313,13 +298,4 @@ func (f *LU) solveBlocked(x *Matrix) {
 			}
 		}
 	}
-}
-
-// Invert is a convenience wrapper: Factor + Inverse.
-func Invert(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse(), nil
 }

@@ -22,7 +22,7 @@ const mulBlock = 64
 // its packing overhead.
 func MulIntoRef(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("linalg: MulIntoRef dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Rows, b.Cols)
 	for kk := 0; kk < a.Cols; kk += mulBlock {

@@ -5,7 +5,7 @@
 // metric fails the scrape test instead of shipping — plus two small
 // live instruments (CounterVec, HistogramVec) for values that have no
 // existing atomic counter to snapshot (per-endpoint HTTP latency and
-// status codes).
+// status codes). Walk (walk.go) renders tagged Stats structs.
 package obs
 
 import (
@@ -52,20 +52,26 @@ func validLabelName(name string) bool {
 	return true
 }
 
-// MetricsWriter accumulates one exposition document. Series of one
-// name must be written consecutively (HELP/TYPE are emitted on the
-// first); reusing a name with a different type, or any invalid name,
-// poisons the writer and Bytes reports the error.
+// MetricsWriter accumulates one exposition document. Series may be
+// written in any order: the writer groups them by family, in order of
+// each family's first series, under one HELP/TYPE header (the help of
+// the first series wins). Reusing a name with a different type, or any
+// invalid name, poisons the writer and Bytes reports the error.
 type MetricsWriter struct {
-	buf   bytes.Buffer
 	err   error
-	types map[string]string
-	last  string
+	order []*family
+	fams  map[string]*family
+}
+
+// family is one metric family's header and accumulated series lines.
+type family struct {
+	name, help, typ string
+	body            bytes.Buffer
 }
 
 // NewMetricsWriter returns an empty exposition document.
 func NewMetricsWriter() *MetricsWriter {
-	return &MetricsWriter{types: make(map[string]string)}
+	return &MetricsWriter{fams: make(map[string]*family)}
 }
 
 func (w *MetricsWriter) fail(format string, args ...any) {
@@ -74,31 +80,27 @@ func (w *MetricsWriter) fail(format string, args ...any) {
 	}
 }
 
-// header validates the name and emits HELP/TYPE on first use.
-func (w *MetricsWriter) header(name, help, typ string) bool {
+// family validates the name and returns its family, registering it on
+// first use; nil once the writer is poisoned.
+func (w *MetricsWriter) family(name, help, typ string) *family {
 	if w.err != nil {
-		return false
+		return nil
 	}
 	if !ValidMetricName(name) {
 		w.fail("obs: metric name %q is not %ssnake_case", name, MetricNamePrefix)
-		return false
+		return nil
 	}
-	if prev, ok := w.types[name]; ok {
-		if prev != typ {
-			w.fail("obs: metric %q declared as both %s and %s", name, prev, typ)
-			return false
+	if f, ok := w.fams[name]; ok {
+		if f.typ != typ {
+			w.fail("obs: metric %q declared as both %s and %s", name, f.typ, typ)
+			return nil
 		}
-		if w.last != name {
-			w.fail("obs: metric %q series are not consecutive", name)
-			return false
-		}
-		return true
+		return f
 	}
-	w.types[name] = typ
-	w.last = name
-	help = strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(help)
-	fmt.Fprintf(&w.buf, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return true
+	f := &family{name: name, help: help, typ: typ}
+	w.fams[name] = f
+	w.order = append(w.order, f)
+	return f
 }
 
 func formatValue(v float64) string {
@@ -113,45 +115,49 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-var labelEscaper = strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`)
+var (
+	labelEscaper = strings.NewReplacer("\\", `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer("\\", `\\`, "\n", `\n`)
+)
 
-// series writes one sample line.
-func (w *MetricsWriter) series(name string, attrs []Attr, v float64) {
+// series writes one sample line of family f; name is the family name
+// or, for a histogram, one of its _bucket/_sum/_count sample names.
+func (w *MetricsWriter) series(f *family, name string, attrs []Attr, v float64) {
 	if w.err != nil {
 		return
 	}
-	w.buf.WriteString(name)
+	b := &f.body
+	b.WriteString(name)
 	if len(attrs) > 0 {
-		w.buf.WriteByte('{')
+		b.WriteByte('{')
 		for i, a := range attrs {
 			if !validLabelName(a.Key) {
 				w.fail("obs: metric %q has invalid label name %q", name, a.Key)
 				return
 			}
 			if i > 0 {
-				w.buf.WriteByte(',')
+				b.WriteByte(',')
 			}
-			fmt.Fprintf(&w.buf, `%s="%s"`, a.Key, labelEscaper.Replace(a.Value))
+			fmt.Fprintf(b, `%s="%s"`, a.Key, labelEscaper.Replace(a.Value))
 		}
-		w.buf.WriteByte('}')
+		b.WriteByte('}')
 	}
-	w.buf.WriteByte(' ')
-	w.buf.WriteString(formatValue(v))
-	w.buf.WriteByte('\n')
-	w.last = name
+	b.WriteByte(' ')
+	b.WriteString(formatValue(v))
+	b.WriteByte('\n')
 }
 
 // Counter writes one counter series.
 func (w *MetricsWriter) Counter(name, help string, v float64, attrs ...Attr) {
-	if w.header(name, help, "counter") {
-		w.series(name, attrs, v)
+	if f := w.family(name, help, "counter"); f != nil {
+		w.series(f, name, attrs, v)
 	}
 }
 
 // Gauge writes one gauge series.
 func (w *MetricsWriter) Gauge(name, help string, v float64, attrs ...Attr) {
-	if w.header(name, help, "gauge") {
-		w.series(name, attrs, v)
+	if f := w.family(name, help, "gauge"); f != nil {
+		w.series(f, name, attrs, v)
 	}
 }
 
@@ -168,7 +174,8 @@ type HistSnapshot struct {
 
 // Histogram writes one histogram series set (buckets, sum, count).
 func (w *MetricsWriter) Histogram(name, help string, h HistSnapshot, attrs ...Attr) {
-	if !w.header(name, help, "histogram") {
+	f := w.family(name, help, "histogram")
+	if f == nil {
 		return
 	}
 	if len(h.Counts) != len(h.Bounds)+1 {
@@ -178,16 +185,14 @@ func (w *MetricsWriter) Histogram(name, help string, h HistSnapshot, attrs ...At
 	var cum uint64
 	for i, bound := range h.Bounds {
 		cum += h.Counts[i]
-		w.series(name+"_bucket", append(append([]Attr(nil), attrs...),
+		w.series(f, name+"_bucket", append(append([]Attr(nil), attrs...),
 			Attr{Key: "le", Value: formatValue(bound)}), float64(cum))
 	}
 	cum += h.Counts[len(h.Bounds)]
-	w.series(name+"_bucket", append(append([]Attr(nil), attrs...),
+	w.series(f, name+"_bucket", append(append([]Attr(nil), attrs...),
 		Attr{Key: "le", Value: "+Inf"}), float64(cum))
-	w.series(name+"_sum", attrs, h.Sum)
-	w.series(name+"_count", attrs, float64(h.Count))
-	// _bucket/_sum/_count interleave under one family name.
-	w.last = name
+	w.series(f, name+"_sum", attrs, h.Sum)
+	w.series(f, name+"_count", attrs, float64(h.Count))
 }
 
 // Bytes returns the document, or the first error the writer hit.
@@ -195,7 +200,12 @@ func (w *MetricsWriter) Bytes() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	return w.buf.Bytes(), nil
+	var buf bytes.Buffer
+	for _, f := range w.order {
+		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.typ)
+		buf.Write(f.body.Bytes())
+	}
+	return buf.Bytes(), nil
 }
 
 // labelKey joins label values into one deterministic map key.
@@ -241,17 +251,6 @@ func (v *CounterVec) Write(w *MetricsWriter, name, help string) {
 	for _, k := range keys {
 		w.Counter(name, help, snap[k], v.attrs(k)...)
 	}
-}
-
-// Sum returns the total over every series (for cross-checks).
-func (v *CounterVec) Sum() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var total float64
-	for _, val := range v.vals {
-		total += val
-	}
-	return total
 }
 
 func (v *CounterVec) attrs(key string) []Attr {

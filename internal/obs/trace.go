@@ -224,16 +224,15 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (*Span, context.
 	return s, context.WithValue(ctx, ctxKey{}, ctxVal{tr: tr, spanID: id})
 }
 
-// TracerStats is a point-in-time snapshot of tracer activity (exposed
-// as spmt_traces_* metrics).
+// TracerStats is a point-in-time snapshot of tracer activity.
 type TracerStats struct {
 	// Started counts traces created (fresh IDs and adopted peer IDs).
-	Started uint64 `json:"started"`
+	Started uint64 `json:"started" metric:"spmt_traces_started_total" help:"Traces created (fresh and adopted IDs)."`
 	// SpansDropped counts spans discarded because their trace hit the
 	// per-trace span budget.
-	SpansDropped uint64 `json:"spans_dropped"`
+	SpansDropped uint64 `json:"spans_dropped" metric:"spmt_trace_spans_dropped_total" help:"Spans discarded over the per-trace budget."`
 	// Resident is the number of traces currently held in the ring.
-	Resident int `json:"resident"`
+	Resident int `json:"resident" metric:"spmt_traces_resident" help:"Traces held in the ring."`
 }
 
 // Tracer owns the bounded ring of recent traces on one node.

@@ -134,11 +134,14 @@ func TestComputeClosedChain(t *testing.T) {
 	q := 0.25
 	g := closedThreeNode(q)
 	P := buildChain(g)
-	IminusP := linalg.Identity(3)
+	IminusP := linalg.NewMatrix(3, 3)
 	for i := range IminusP.Data {
-		IminusP.Data[i] -= P.Data[i]
+		IminusP.Data[i] = -P.Data[i]
 	}
-	if _, err := linalg.Factor(IminusP); !errors.Is(err, linalg.ErrSingular) {
+	for i := 0; i < 3; i++ {
+		IminusP.Data[i*3+i]++
+	}
+	if err := linalg.NewLU(3).FactorInto(IminusP); !errors.Is(err, linalg.ErrSingular) {
 		t.Fatalf("factorising I−P: err = %v, want ErrSingular", err)
 	}
 	res, err := Compute(g)

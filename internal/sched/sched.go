@@ -341,19 +341,19 @@ func (s *Scheduler) retire(c *specCall) {
 // Stats is a point-in-time snapshot of scheduler activity.
 type Stats struct {
 	// Workers is the core budget.
-	Workers int `json:"workers"`
+	Workers int `json:"workers" metric:"spmt_sched_workers" help:"Scheduler core budget."`
 	// Submitted counts Do calls, For helpers and Speculate calls;
 	// Completed counts their retirements (withdrawn calls included).
-	Submitted uint64 `json:"submitted"`
-	Completed uint64 `json:"completed"`
+	Submitted uint64 `json:"submitted" metric:"spmt_sched_tasks_submitted_total" help:"Do calls, For helpers and Speculate calls handed to the scheduler."`
+	Completed uint64 `json:"completed" metric:"spmt_sched_tasks_completed_total" help:"Scheduler submissions retired (withdrawn calls included)."`
 	// QueueDepth is the number of Do calls waiting for a core.
-	QueueDepth int `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth" metric:"spmt_sched_queue_depth" help:"Do calls waiting for a core."`
 	// BusyMS is the cumulative time spent in Do's fn, in milliseconds
 	// (divide by wall time × Workers for utilisation).
-	BusyMS float64 `json:"busy_ms"`
+	BusyMS float64 `json:"busy_ms" metric:"spmt_sched_worker_busy_seconds_total,ms" help:"Cumulative time spent running job leaves while holding a core."`
 	// TasksByKind counts submissions by the caller-supplied kind label
 	// (job kinds for Do, "bench"/"dep"/"sim" for For, "spec").
-	TasksByKind map[string]uint64 `json:"tasks_by_kind,omitempty"`
+	TasksByKind map[string]uint64 `json:"tasks_by_kind,omitempty" metric:"spmt_sched_tasks_total,kind" help:"Scheduler submissions by kind (job kinds, bench, dep, sim, spec)."`
 }
 
 // Stats snapshots the scheduler counters.

@@ -426,3 +426,26 @@ func TestSweepRepairsQueuedKey(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCountsSkippedPush: a re-replication sweep over a key its
+// replica owner already holds pushes nothing, counts the skip, and
+// /metrics exports the count.
+func TestSweepCountsSkippedPush(t *testing.T) {
+	nodes := startReplicatedCluster(t, 2)
+	const key = "reach/resident"
+	for _, n := range nodes {
+		disk := n.srv.Engine().Disk()
+		disk.PutAsync(key, &linalg.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2.5}})
+		disk.Flush()
+	}
+
+	nodes[0].srv.runSweep()
+	st := nodes[0].srv.Cluster().Stats().Replication
+	if st.PushSkipped == 0 || st.SweepPushed != 0 {
+		t.Fatalf("sweep over a resident key: push_skipped=%d sweep_pushed=%d, want >0 and 0", st.PushSkipped, st.SweepPushed)
+	}
+	series := parseExposition(t, scrapeMetrics(t, nodes[0].url))
+	if got := series["spmt_shard_replication_push_skipped_total"]; got != float64(st.PushSkipped) {
+		t.Errorf("spmt_shard_replication_push_skipped_total = %g, /v1/stats says %d", got, st.PushSkipped)
+	}
+}

@@ -1,6 +1,6 @@
 // Server-side observability: the tracing/metrics middleware around the
 // route table, the /v1/traces query endpoints (with cross-node
-// stitching), the hand-rolled Prometheus /metrics exposition, and the
+// stitching), the Prometheus /metrics exposition, and the
 // separate ops listener's handler (metrics + pprof + healthz).
 //
 // Invariant (enforced by the cluster parity suite): nothing in this
@@ -19,12 +19,11 @@ import (
 	"net/url"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/admit"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -272,188 +271,21 @@ func (s *Server) stitchTrace(ctx context.Context, tj *obs.TraceJSON) {
 	}
 }
 
-// handleMetrics renders the Prometheus exposition. Every value is
-// snapshotted from the same counters /v1/stats serves, so the two
-// views can never disagree about a total.
+// handleMetrics renders the Prometheus exposition: the tagged fields of
+// the same snapshot /v1/stats serves, so the two views can never
+// disagree about a total, plus the three live vectors that have no
+// /v1/stats counterpart.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.localStats()
+	if st.Admit == nil {
+		// The admission families stay scrapeable, at zero, with the gate
+		// off.
+		st.Admit = &admit.Stats{}
+	}
 	mw := obs.NewMetricsWriter()
-	es := s.eng.Stats()
-
-	mw.Counter("spmt_engine_jobs_executed_total",
-		"Engine job Run invocations (store misses not deduplicated).", float64(es.Executed))
-	mw.Counter("spmt_engine_jobs_deduped_total",
-		"Engine calls that joined an identical in-flight computation.", float64(es.Deduped))
-	for _, kind := range sortedKeys(es.Latency) {
-		mw.Histogram("spmt_engine_job_duration_seconds",
-			"Engine job Run latency by job kind.", latencySnapshot(es.Latency[kind]),
-			obs.A("kind", kind))
-	}
-
-	ss := es.Sched
-	mw.Gauge("spmt_sched_workers",
-		"Scheduler core budget.", float64(ss.Workers))
-	mw.Counter("spmt_sched_tasks_submitted_total",
-		"Do calls, For helpers and Speculate calls handed to the scheduler.", float64(ss.Submitted))
-	mw.Counter("spmt_sched_tasks_completed_total",
-		"Scheduler submissions retired (withdrawn calls included).", float64(ss.Completed))
-	for _, kind := range sortedKeys(ss.TasksByKind) {
-		mw.Counter("spmt_sched_tasks_total",
-			"Scheduler submissions by kind (job kinds, bench, dep, sim, spec).",
-			float64(ss.TasksByKind[kind]), obs.A("kind", kind))
-	}
-	mw.Gauge("spmt_sched_queue_depth",
-		"Do calls waiting for a core.", float64(ss.QueueDepth))
-	mw.Counter("spmt_sched_worker_busy_seconds_total",
-		"Cumulative time spent running job leaves while holding a core.", ss.BusyMS/1000)
-
-	writeTierCounter := func(name, help string, mem uint64, disk func(*engine.DiskStats) uint64) {
-		mw.Counter(name, help, float64(mem), obs.A("tier", "mem"))
-		if es.Disk != nil {
-			mw.Counter(name, help, float64(disk(es.Disk)), obs.A("tier", "disk"))
-		}
-	}
-	writeTierGauge := func(name, help string, mem int64, disk func(*engine.DiskStats) int64) {
-		mw.Gauge(name, help, float64(mem), obs.A("tier", "mem"))
-		if es.Disk != nil {
-			mw.Gauge(name, help, float64(disk(es.Disk)), obs.A("tier", "disk"))
-		}
-	}
-	writeTierCounter("spmt_store_hits_total", "Artifact store hits by tier.",
-		es.Cache.Hits, func(d *engine.DiskStats) uint64 { return d.Hits })
-	writeTierCounter("spmt_store_misses_total", "Artifact store misses by tier.",
-		es.Cache.Misses, func(d *engine.DiskStats) uint64 { return d.Misses })
-	writeTierCounter("spmt_store_evictions_total", "Artifact store evictions by tier.",
-		es.Cache.Evictions, func(d *engine.DiskStats) uint64 { return d.Evictions })
-	writeTierGauge("spmt_store_entries", "Artifacts resident by tier.",
-		int64(es.Cache.Entries), func(d *engine.DiskStats) int64 { return int64(d.Entries) })
-	writeTierGauge("spmt_store_bytes_resident", "Approximate resident bytes by tier.",
-		es.Cache.BytesResident, func(d *engine.DiskStats) int64 { return d.BytesResident })
-	writeTierGauge("spmt_store_bytes_capacity", "Byte budget by tier (0 = unbounded).",
-		es.Cache.BytesCapacity, func(d *engine.DiskStats) int64 { return d.BytesCapacity })
-	if es.Disk != nil {
-		mw.Counter("spmt_store_disk_writes_total", "Artifact images written to disk.", float64(es.Disk.Writes))
-		mw.Counter("spmt_store_disk_errors_total", "Disk tier write/read/decode errors.", float64(es.Disk.Errors))
-		mw.Counter("spmt_store_disk_async_writes_total", "Writes accepted by the async queue.", float64(es.Disk.AsyncWrites))
-		mw.Gauge("spmt_store_disk_queue_depth", "Writes queued for the background writer.", float64(es.Disk.QueueDepth))
-		mw.Counter("spmt_store_disk_flushes_total", "Explicit flushes (Flush/Close) of the async queue.", float64(es.Disk.Flushes))
-	}
-
-	ts := s.tracer.Stats()
-	mw.Counter("spmt_traces_started_total", "Traces created (fresh and adopted IDs).", float64(ts.Started))
-	mw.Counter("spmt_trace_spans_dropped_total", "Spans discarded over the per-trace budget.", float64(ts.SpansDropped))
-	mw.Gauge("spmt_traces_resident", "Traces held in the ring.", float64(ts.Resident))
-
-	mw.Counter("spmt_http_panics_total",
-		"Handler panics recovered by the HTTP barrier.", float64(s.httpPanics.Load()))
-
-	// Admission gate (all-zero when disabled — the families stay
-	// scrapeable either way).
-	gs := s.gate.Stats()
-	mw.Gauge("spmt_admit_capacity", "Admission gate weighted capacity (0 = gate disabled).", float64(gs.Capacity))
-	mw.Gauge("spmt_admit_in_use", "Weight units held by admitted computes.", float64(gs.InUse))
-	mw.Gauge("spmt_admit_waiting", "Requests queued for admission.", float64(gs.Waiting))
-	mw.Counter("spmt_admit_admitted_total", "Cold computes admitted through the gate.", float64(gs.Admitted))
-	mw.Counter("spmt_admit_bypassed_total", "Store-resolvable requests that bypassed the gate.", float64(gs.Bypassed))
-	mw.Counter("spmt_admit_rejected_total", "Requests shed by the admission gate, by cause.",
-		float64(gs.RejectedFull), obs.A("reason", "full"))
-	mw.Counter("spmt_admit_rejected_total", "Requests shed by the admission gate, by cause.",
-		float64(gs.RejectedDeadline), obs.A("reason", "deadline"))
-	mw.Counter("spmt_admit_rejected_total", "Requests shed by the admission gate, by cause.",
-		float64(gs.RejectedWait), obs.A("reason", "wait"))
-	mw.Counter("spmt_admit_rejected_total", "Requests shed by the admission gate, by cause.",
-		float64(gs.Canceled), obs.A("reason", "canceled"))
+	mw.Walk(st)
 	s.admitDecisions.Write(mw, "spmt_admit_decisions_total",
 		"Admission decisions by endpoint and decision.")
-
-	// Speculative precomputation (present only with -speculate: the
-	// families would be all-zero noise on a server that cannot move
-	// them).
-	if s.spec != nil {
-		sp := s.spec.stats()
-		mw.Counter("spmt_spec_predictions_total", "Successor predictions produced by the spawn-point predictor.", float64(sp.Predictions))
-		mw.Counter("spmt_spec_launches_total", "Speculative artifact computations launched on idle cores.", float64(sp.Launches))
-		mw.Counter("spmt_spec_hits_total", "Speculatively-launched artifacts later requested on the demand path.", float64(sp.Hits))
-		mw.Counter("spmt_spec_withdrawn_total", "Predictions stood down for saturation or drain.", float64(sp.Withdrawn))
-		mw.Counter("spmt_spec_skipped_total", "Predictions vetoed as already stored or not self-owned.", float64(sp.Skipped))
-		mw.Counter("spmt_spec_errors_total", "Speculative launches that failed.", float64(sp.Errors))
-		mw.Counter("spmt_spec_dropped_total", "Predictions shed by the bounded queue.", float64(sp.Dropped))
-		mw.Gauge("spmt_spec_queue_depth", "Predictions queued for launch.", float64(sp.QueueDepth))
-		mw.Gauge("spmt_spec_wasted_bytes", "Store bytes held by launched artifacts no demand request has asked for.", float64(sp.WastedBytes))
-		mw.Gauge("spmt_spec_accuracy", "Hits/launches — the spawn-scheme accuracy analogue.", sp.Accuracy)
-		mw.Gauge("spmt_spec_predictor_states", "Source keys tracked by the transition table.", float64(sp.Predictor.States))
-		mw.Counter("spmt_spec_predictor_observations_total", "Transitions recorded by the predictor.", float64(sp.Predictor.Observations))
-		mw.Counter("spmt_spec_predictor_evictions_total", "Predictor states dropped by the LRU bound.", float64(sp.Predictor.Evictions))
-	}
-
-	// Fault injector (testing only; absent in production processes).
-	if s.fault != nil {
-		fs := s.fault.Stats()
-		for _, op := range sortedKeys(fs.Decisions) {
-			mw.Counter("spmt_fault_decisions_total",
-				"Fault-injection coin flips by operation.", float64(fs.Decisions[op]), obs.A("op", op))
-		}
-		for _, op := range sortedKeys(fs.Injected) {
-			mw.Counter("spmt_fault_injected_total",
-				"Faults actually injected by operation.", float64(fs.Injected[op]), obs.A("op", op))
-		}
-	}
-
-	if s.cluster != nil {
-		cs := s.cluster.Stats()
-		mw.Gauge("spmt_shard_members", "Cluster member count.", float64(len(cs.Members)))
-		mw.Counter("spmt_shard_proxied_total", "Requests forwarded to their owning shard.", float64(cs.Proxied))
-		for _, reason := range sortedKeys(cs.ProxyFallbackReasons) {
-			mw.Counter("spmt_shard_proxy_fallbacks_total",
-				"Failed forwards answered by local compute, by cause.",
-				float64(cs.ProxyFallbackReasons[reason]), obs.A("reason", reason))
-		}
-		mw.Counter("spmt_shard_batch_fanouts_total", "Sub-batches sent to owning shards.", float64(cs.BatchFanouts))
-		for _, reason := range sortedKeys(cs.BatchFallbackReasons) {
-			mw.Counter("spmt_shard_batch_fallback_specs_total",
-				"Batch specs recomputed locally after a sub-batch failure, by cause.",
-				float64(cs.BatchFallbackReasons[reason]), obs.A("reason", reason))
-		}
-		mw.Counter("spmt_shard_remote_fetches_total", "Artifact images fetched from owning shards.", float64(cs.RemoteFetches))
-		mw.Counter("spmt_shard_fetch_misses_total", "Artifact fetches the owner could not serve.", float64(cs.FetchMisses))
-		for _, reason := range sortedKeys(cs.FetchErrorReasons) {
-			mw.Counter("spmt_shard_fetch_errors_total",
-				"Artifact fetch failures by cause (transport vs decode).",
-				float64(cs.FetchErrorReasons[reason]), obs.A("reason", reason))
-		}
-		mw.Counter("spmt_shard_artifacts_served_total", "Artifact images served to peers.", float64(cs.ArtifactsServed))
-
-		mw.Gauge("spmt_shard_membership_epoch", "Membership version; bumps on every join/leave.", float64(cs.Epoch))
-		mw.Gauge("spmt_shard_ring_version", "Effective-ring rebuilds (membership + suspicion changes).", float64(cs.RingVersion))
-		mw.Gauge("spmt_shard_replicas", "Configured replication factor R.", float64(cs.Replicas))
-		mw.Gauge("spmt_shard_suspects", "Members currently excluded from the effective ring.", float64(len(cs.Suspects)))
-		mw.Counter("spmt_shard_probes_total", "Health probes sent to peers.", float64(cs.Probes))
-		mw.Counter("spmt_shard_probe_failures_total", "Health probes that failed.", float64(cs.ProbeFailures))
-		mw.Counter("spmt_shard_suspicions_total", "Peers suspected after K consecutive probe failures.", float64(cs.Suspicions))
-		mw.Counter("spmt_shard_readmissions_total", "Suspected peers readmitted on probe success.", float64(cs.Readmissions))
-		mw.Counter("spmt_shard_peer_retries_total", "Transiently-failed peer calls retried against the replica.", float64(cs.PeerRetries))
-		mw.Counter("spmt_shard_peer_retry_successes_total", "Replica retries that answered.", float64(cs.PeerRetrySuccesses))
-
-		rs := cs.Replication
-		mw.Counter("spmt_shard_replication_pushed_total", "Artifact images pushed to replica owners.", float64(rs.Pushed))
-		mw.Counter("spmt_shard_replication_push_errors_total", "Failed replication pushes.", float64(rs.PushErrors))
-		mw.Counter("spmt_shard_replication_dropped_total", "Write-through pushes shed on a full queue.", float64(rs.Dropped))
-		mw.Gauge("spmt_shard_replication_pending", "Write-through pushes queued or in flight.", float64(rs.Pending))
-		mw.Counter("spmt_shard_replication_received_total", "Pushed artifact images stored from peers.", float64(rs.Received))
-		mw.Counter("spmt_shard_replication_received_duplicate_total", "Pushed images for already-resident keys.", float64(rs.ReceivedDuplicate))
-		mw.Counter("spmt_shard_replication_sweeps_total", "Completed re-replication sweeps.", float64(rs.Sweeps))
-		mw.Counter("spmt_shard_replication_sweep_keys_total", "Store keys scanned by re-replication sweeps.", float64(rs.SweepKeys))
-		mw.Counter("spmt_shard_replication_sweep_pushed_total", "Images pushed by re-replication sweeps.", float64(rs.SweepPushed))
-		mw.Counter("spmt_shard_replication_sweep_errors_total", "Check/push failures during re-replication sweeps.", float64(rs.SweepErrors))
-		mw.Gauge("spmt_shard_replication_last_sweep_epoch", "Membership epoch of the last completed sweep.", float64(rs.LastSweepEpoch))
-
-		bs := cs.Breaker
-		mw.Counter("spmt_breaker_opens_total", "Peer circuits opened after consecutive failures.", float64(bs.Opens))
-		mw.Counter("spmt_breaker_closes_total", "Peer circuits closed by a successful half-open probe.", float64(bs.Closes))
-		mw.Counter("spmt_breaker_fast_fails_total", "Peer calls fast-failed by an open circuit.", float64(bs.FastFails))
-		mw.Counter("spmt_breaker_half_open_probes_total", "Trial calls admitted by half-open circuits.", float64(bs.HalfOpenProbes))
-		mw.Gauge("spmt_breaker_open_circuits", "Peer circuits currently open.", float64(len(bs.Open)))
-	}
-
 	s.httpReqs.Write(mw, "spmt_http_requests_total", "HTTP requests by endpoint pattern and status code.")
 	s.httpDur.Write(mw, "spmt_http_request_duration_seconds", "HTTP request latency by endpoint pattern.")
 
@@ -466,30 +298,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(out) //nolint:errcheck // client went away
-}
-
-// latencySnapshot converts the engine's millisecond histogram into the
-// seconds-based exposition form.
-func latencySnapshot(ls engine.LatencyStats) obs.HistSnapshot {
-	bounds := make([]float64, len(ls.BucketsMS))
-	for i, ms := range ls.BucketsMS {
-		bounds[i] = ms / 1000
-	}
-	return obs.HistSnapshot{
-		Bounds: bounds,
-		Counts: ls.Counts,
-		Sum:    ls.TotalMS / 1000,
-		Count:  ls.Count,
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // OpsHandler returns the separate ops listener's route table: metrics,

@@ -422,17 +422,19 @@ func TestMetricsExposition(t *testing.T) {
 	// No engine/shard traffic ran between the scrape and the stats
 	// snapshot, so these totals must agree exactly.
 	for key, want := range map[string]float64{
-		"spmt_engine_jobs_executed_total":     float64(st.Engine.Executed),
-		"spmt_engine_jobs_deduped_total":      float64(st.Engine.Deduped),
-		"spmt_sched_workers":                  float64(st.Engine.Sched.Workers),
-		`spmt_store_hits_total{tier="mem"}`:   float64(st.Engine.Cache.Hits),
-		`spmt_store_misses_total{tier="mem"}`: float64(st.Engine.Cache.Misses),
-		`spmt_store_hits_total{tier="disk"}`:  float64(st.Engine.Disk.Hits),
-		"spmt_store_disk_writes_total":        float64(st.Engine.Disk.Writes),
-		"spmt_store_disk_async_writes_total":  float64(st.Engine.Disk.AsyncWrites),
-		"spmt_shard_members":                  float64(len(st.Shard.Members)),
-		"spmt_shard_proxied_total":            float64(st.Shard.Proxied),
-		"spmt_shard_artifacts_served_total":   float64(st.Shard.ArtifactsServed),
+		"spmt_engine_jobs_executed_total":           float64(st.Engine.Executed),
+		"spmt_engine_jobs_deduped_total":            float64(st.Engine.Deduped),
+		"spmt_sched_workers":                        float64(st.Engine.Sched.Workers),
+		`spmt_store_hits_total{tier="mem"}`:         float64(st.Engine.Cache.Hits),
+		`spmt_store_misses_total{tier="mem"}`:       float64(st.Engine.Cache.Misses),
+		`spmt_store_hits_total{tier="disk"}`:        float64(st.Engine.Disk.Hits),
+		"spmt_store_disk_writes_total":              float64(st.Engine.Disk.Writes),
+		"spmt_store_disk_async_writes_total":        float64(st.Engine.Disk.AsyncWrites),
+		"spmt_shard_members":                        float64(len(st.Shard.Members)),
+		"spmt_shard_proxied_total":                  float64(st.Shard.Proxied),
+		"spmt_shard_artifacts_served_total":         float64(st.Shard.ArtifactsServed),
+		"spmt_shard_replication_push_skipped_total": float64(st.Shard.Replication.PushSkipped),
+		"spmt_http_panics_total":                    float64(st.HTTPPanics),
 	} {
 		got, ok := series[key]
 		if !ok {

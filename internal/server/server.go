@@ -679,14 +679,17 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Write(data) //nolint:errcheck // client went away
 }
 
+// statsResponse is the /v1/stats body. Its numeric leaves carry the
+// metric tags /metrics renders (obs.MetricsWriter.Walk), so the two
+// views are one declaration.
 type statsResponse struct {
 	Engine   engine.Stats `json:"engine"`
-	Requests uint64       `json:"requests"`
+	Requests uint64       `json:"requests" metric:"-"`
 	// Shard is this node's shard view (peer mode only); Cluster is the
 	// fanned-out per-member + aggregate view (omitted for
 	// ?scope=local, which is what members serve each other).
 	Shard   *shard.Stats  `json:"shard,omitempty"`
-	Cluster *clusterStats `json:"cluster,omitempty"`
+	Cluster *clusterStats `json:"cluster,omitempty" metric:"-"`
 	// Admit and Fault are the overload-safety views: admission-gate
 	// counters (present when the gate is enabled) and fault-injector
 	// counters (testing only).
@@ -695,31 +698,44 @@ type statsResponse struct {
 	// Spec is the speculative-precomputation view (present when the
 	// server runs with Config.Speculate).
 	Spec *specStats `json:"spec,omitempty"`
+	// Traces is the trace ring's activity; HTTPPanics counts handler
+	// panics the HTTP barrier recovered.
+	Traces     obs.TracerStats `json:"traces"`
+	HTTPPanics uint64          `json:"http_panics" metric:"spmt_http_panics_total" help:"Handler panics recovered by the HTTP barrier."`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		Engine:   s.eng.Stats(),
-		Requests: s.requests.Load(),
+// localStats snapshots this node's counters: the /v1/stats?scope=local
+// body and everything /metrics renders from it.
+func (s *Server) localStats() statsResponse {
+	st := statsResponse{
+		Engine:     s.eng.Stats(),
+		Requests:   s.requests.Load(),
+		Traces:     s.tracer.Stats(),
+		HTTPPanics: s.httpPanics.Load(),
 	}
 	if s.gate != nil {
 		gs := s.gate.Stats()
-		resp.Admit = &gs
+		st.Admit = &gs
 	}
 	if s.fault != nil {
 		fs := s.fault.Stats()
-		resp.Fault = &fs
+		st.Fault = &fs
 	}
 	if s.spec != nil {
 		ss := s.spec.stats()
-		resp.Spec = &ss
+		st.Spec = &ss
 	}
 	if s.cluster != nil {
-		st := s.cluster.Stats()
-		resp.Shard = &st
-		if r.URL.Query().Get("scope") != "local" {
-			resp.Cluster = s.clusterView(r, resp)
-		}
+		cs := s.cluster.Stats()
+		st.Shard = &cs
+	}
+	return st
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	resp := s.localStats()
+	if s.cluster != nil && r.URL.Query().Get("scope") != "local" {
+		resp.Cluster = s.clusterView(r, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -153,12 +153,12 @@ type BreakerStats struct {
 	// recoveries to closed; FastFails counts calls shed without a
 	// connection attempt; HalfOpenProbes counts probe calls admitted
 	// while half-open.
-	Opens          uint64 `json:"opens"`
-	Closes         uint64 `json:"closes"`
-	FastFails      uint64 `json:"fast_fails"`
-	HalfOpenProbes uint64 `json:"half_open_probes"`
+	Opens          uint64 `json:"opens" metric:"spmt_breaker_opens_total" help:"Peer circuits opened after consecutive failures."`
+	Closes         uint64 `json:"closes" metric:"spmt_breaker_closes_total" help:"Peer circuits closed by a successful half-open probe."`
+	FastFails      uint64 `json:"fast_fails" metric:"spmt_breaker_fast_fails_total" help:"Peer calls fast-failed by an open circuit."`
+	HalfOpenProbes uint64 `json:"half_open_probes" metric:"spmt_breaker_half_open_probes_total" help:"Trial calls admitted by half-open circuits."`
 	// Open lists peers whose circuit is currently open or half-open.
-	Open []string `json:"open,omitempty"`
+	Open []string `json:"open,omitempty" metric:"spmt_breaker_open_circuits" help:"Peer circuits currently open."`
 }
 
 func (b *breaker) stats() BreakerStats {

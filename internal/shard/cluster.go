@@ -101,84 +101,84 @@ type Options struct {
 type ReplicationStats struct {
 	// Pushed counts artifact images pushed to replica owners (write-
 	// through and sweep combined); PushErrors counts failed pushes;
-	// PushSkipped counts sweep pushes skipped because the target
-	// already held the key; Dropped counts write-through pushes shed
+	// PushSkipped counts sweep checks and write-through pushes that
+	// found the key already on the target; Dropped counts write-through pushes shed
 	// because the async queue was full (a later sweep repairs them).
-	Pushed      uint64 `json:"pushed"`
-	PushErrors  uint64 `json:"push_errors"`
-	PushSkipped uint64 `json:"push_skipped"`
-	Dropped     uint64 `json:"dropped"`
+	Pushed      uint64 `json:"pushed" metric:"spmt_shard_replication_pushed_total" help:"Artifact images pushed to replica owners."`
+	PushErrors  uint64 `json:"push_errors" metric:"spmt_shard_replication_push_errors_total" help:"Failed replication pushes."`
+	PushSkipped uint64 `json:"push_skipped" metric:"spmt_shard_replication_push_skipped_total" help:"Pushes (sweep or write-through) whose target already held the key."`
+	Dropped     uint64 `json:"dropped" metric:"spmt_shard_replication_dropped_total" help:"Write-through pushes shed on a full queue."`
 	// Pending gauges write-through pushes accepted but not yet
 	// delivered (queued + in flight) — zero means replication has
 	// quiesced.
-	Pending int64 `json:"pending"`
+	Pending int64 `json:"pending" metric:"spmt_shard_replication_pending" help:"Write-through pushes queued or in flight."`
 	// Received counts images peers pushed to this node and stored;
 	// ReceivedDuplicate counts pushes for keys already resident.
-	Received          uint64 `json:"received"`
-	ReceivedDuplicate uint64 `json:"received_duplicate"`
+	Received          uint64 `json:"received" metric:"spmt_shard_replication_received_total" help:"Pushed artifact images stored from peers."`
+	ReceivedDuplicate uint64 `json:"received_duplicate" metric:"spmt_shard_replication_received_duplicate_total" help:"Pushed images for already-resident keys."`
 	// Sweeps counts completed re-replication sweeps; SweepKeys the
 	// store keys they scanned; SweepPushed/SweepErrors their push
 	// outcomes; LastSweepEpoch the membership epoch of the most recent
 	// completed sweep.
-	Sweeps         uint64 `json:"sweeps"`
-	SweepKeys      uint64 `json:"sweep_keys"`
-	SweepPushed    uint64 `json:"sweep_pushed"`
-	SweepErrors    uint64 `json:"sweep_errors"`
-	LastSweepEpoch uint64 `json:"last_sweep_epoch"`
+	Sweeps         uint64 `json:"sweeps" metric:"spmt_shard_replication_sweeps_total" help:"Completed re-replication sweeps."`
+	SweepKeys      uint64 `json:"sweep_keys" metric:"spmt_shard_replication_sweep_keys_total" help:"Store keys scanned by re-replication sweeps."`
+	SweepPushed    uint64 `json:"sweep_pushed" metric:"spmt_shard_replication_sweep_pushed_total" help:"Images pushed by re-replication sweeps."`
+	SweepErrors    uint64 `json:"sweep_errors" metric:"spmt_shard_replication_sweep_errors_total" help:"Check/push failures during re-replication sweeps."`
+	LastSweepEpoch uint64 `json:"last_sweep_epoch" metric:"spmt_shard_replication_last_sweep_epoch" help:"Membership epoch of the last completed sweep."`
 }
 
 // Stats is a point-in-time snapshot of one node's shard activity,
 // exposed under "shard" in /v1/stats.
 type Stats struct {
 	Self    string   `json:"self"`
-	Members []string `json:"members"`
-	VNodes  int      `json:"vnodes"`
+	Members []string `json:"members" metric:"spmt_shard_members" help:"Cluster member count."`
+	VNodes  int      `json:"vnodes" metric:"-"`
 	// Epoch is the membership version; RingVersion counts effective-
 	// ring rebuilds (membership changes plus suspicion/readmission) —
 	// the stat timing-sensitive tests poll instead of sleeping.
 	// Suspects lists members currently excluded from the effective
 	// ring by the health prober.
-	Epoch       uint64   `json:"epoch"`
-	RingVersion uint64   `json:"ring_version"`
-	Replicas    int      `json:"replicas"`
-	Suspects    []string `json:"suspects,omitempty"`
+	Epoch       uint64   `json:"epoch" metric:"spmt_shard_membership_epoch" help:"Membership version; bumps on every join/leave."`
+	RingVersion uint64   `json:"ring_version" metric:"spmt_shard_ring_version" help:"Effective-ring rebuilds (membership + suspicion changes)."`
+	Replicas    int      `json:"replicas" metric:"spmt_shard_replicas" help:"Configured replication factor R."`
+	Suspects    []string `json:"suspects,omitempty" metric:"spmt_shard_suspects" help:"Members currently excluded from the effective ring."`
 	// Probes/ProbeFailures count health probes sent and failed;
 	// Suspicions/Readmissions count effective-ring exclusions and
 	// recoveries.
-	Probes        uint64 `json:"probes"`
-	ProbeFailures uint64 `json:"probe_failures"`
-	Suspicions    uint64 `json:"suspicions"`
-	Readmissions  uint64 `json:"readmissions"`
+	Probes        uint64 `json:"probes" metric:"spmt_shard_probes_total" help:"Health probes sent to peers."`
+	ProbeFailures uint64 `json:"probe_failures" metric:"spmt_shard_probe_failures_total" help:"Health probes that failed."`
+	Suspicions    uint64 `json:"suspicions" metric:"spmt_shard_suspicions_total" help:"Peers suspected after K consecutive probe failures."`
+	Readmissions  uint64 `json:"readmissions" metric:"spmt_shard_readmissions_total" help:"Suspected peers readmitted on probe success."`
 	// PeerRetries counts transiently-failed peer calls retried against
 	// the key's replica; PeerRetrySuccesses the retries that answered.
-	PeerRetries        uint64 `json:"peer_retries"`
-	PeerRetrySuccesses uint64 `json:"peer_retry_successes"`
+	PeerRetries        uint64 `json:"peer_retries" metric:"spmt_shard_peer_retries_total" help:"Transiently-failed peer calls retried against the replica."`
+	PeerRetrySuccesses uint64 `json:"peer_retry_successes" metric:"spmt_shard_peer_retry_successes_total" help:"Replica retries that answered."`
 	// Proxied counts requests forwarded to their owning shard;
 	// ProxyFallbacks counts forwards that failed and were answered by
 	// local compute instead (degraded-cluster path), with
 	// ProxyFallbackReasons splitting the total by FallbackReason.
-	Proxied              uint64            `json:"proxied"`
-	ProxyFallbacks       uint64            `json:"proxy_fallbacks"`
-	ProxyFallbackReasons map[string]uint64 `json:"proxy_fallback_reasons,omitempty"`
+	Proxied              uint64            `json:"proxied" metric:"spmt_shard_proxied_total" help:"Requests forwarded to their owning shard."`
+	ProxyFallbacks       uint64            `json:"proxy_fallbacks" metric:"-"`
+	ProxyFallbackReasons map[string]uint64 `json:"proxy_fallback_reasons,omitempty" metric:"spmt_shard_proxy_fallbacks_total,reason" help:"Failed forwards answered by local compute, by cause."`
 	// BatchFanouts counts sub-batches sent to owning shards;
 	// BatchFallbackSpecs counts batch specs recomputed locally after a
 	// sub-batch failed or its stream came back incomplete, split by
 	// reason in BatchFallbackReasons.
-	BatchFanouts         uint64            `json:"batch_fanouts"`
-	BatchFallbackSpecs   uint64            `json:"batch_fallback_specs"`
-	BatchFallbackReasons map[string]uint64 `json:"batch_fallback_reasons,omitempty"`
+	BatchFanouts         uint64            `json:"batch_fanouts" metric:"spmt_shard_batch_fanouts_total" help:"Sub-batches sent to owning shards."`
+	BatchFallbackSpecs   uint64            `json:"batch_fallback_specs" metric:"-"`
+	BatchFallbackReasons map[string]uint64 `json:"batch_fallback_reasons,omitempty" metric:"spmt_shard_batch_fallback_specs_total,reason" help:"Batch specs recomputed locally after a sub-batch failure, by cause."`
 	// RemoteFetches counts artifact images fetched from owning shards
 	// on store miss; FetchMisses counts fetch attempts the owner could
 	// not serve (it had not computed the artifact either);
 	// FetchErrors counts transport/decode failures in total, split by
 	// FetchErrorReason in FetchErrorReasons.
-	RemoteFetches     uint64            `json:"remote_fetches"`
-	FetchMisses       uint64            `json:"fetch_misses"`
-	FetchErrors       uint64            `json:"fetch_errors"`
-	FetchErrorReasons map[string]uint64 `json:"fetch_error_reasons,omitempty"`
+	RemoteFetches     uint64            `json:"remote_fetches" metric:"spmt_shard_remote_fetches_total" help:"Artifact images fetched from owning shards."`
+	FetchMisses       uint64            `json:"fetch_misses" metric:"spmt_shard_fetch_misses_total" help:"Artifact fetches the owner could not serve."`
+	FetchErrors       uint64            `json:"fetch_errors" metric:"-"`
+	FetchErrorReasons map[string]uint64 `json:"fetch_error_reasons,omitempty" metric:"spmt_shard_fetch_errors_total,reason" help:"Artifact fetch failures by cause (transport vs decode)."`
 	// ArtifactsServed counts artifact images this node served to
 	// peers.
-	ArtifactsServed uint64 `json:"artifacts_served"`
+	ArtifactsServed uint64 `json:"artifacts_served" metric:"spmt_shard_artifacts_served_total" help:"Artifact images served to peers."`
 	// Replication is the R=2 write-through / sweep view.
 	Replication ReplicationStats `json:"replication"`
 	// Breaker is the per-peer circuit-breaker view.

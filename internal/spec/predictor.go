@@ -160,9 +160,9 @@ type PredictorStats struct {
 	// States is the current number of source keys tracked;
 	// Observations counts every recorded transition; Evictions counts
 	// states dropped by the LRU bound.
-	States       int    `json:"states"`
-	Observations uint64 `json:"observations"`
-	Evictions    uint64 `json:"evictions"`
+	States       int    `json:"states" metric:"spmt_spec_predictor_states" help:"Source keys tracked by the transition table."`
+	Observations uint64 `json:"observations" metric:"spmt_spec_predictor_observations_total" help:"Transitions recorded by the predictor."`
+	Evictions    uint64 `json:"evictions" metric:"spmt_spec_predictor_evictions_total" help:"Predictor states dropped by the LRU bound."`
 }
 
 // Stats snapshots the predictor counters.

@@ -228,26 +228,26 @@ type Stats struct {
 	// Predictions counts every prediction handed to Enqueue; Launches
 	// counts speculative computations started; Hits counts launched
 	// artifacts later requested on the demand path.
-	Predictions uint64 `json:"predictions"`
-	Launches    uint64 `json:"launches"`
-	Hits        uint64 `json:"hits"`
+	Predictions uint64 `json:"predictions" metric:"spmt_spec_predictions_total" help:"Successor predictions produced by the spawn-point predictor."`
+	Launches    uint64 `json:"launches" metric:"spmt_spec_launches_total" help:"Speculative artifact computations launched on idle cores."`
+	Hits        uint64 `json:"hits" metric:"spmt_spec_hits_total" help:"Speculatively-launched artifacts later requested on the demand path."`
 	// Withdrawn counts predictions stood down because the server was
 	// saturated or draining; Skipped counts predictions vetoed by the
 	// eligibility hook (already stored, not self-owned); Errors counts
 	// failed launches; Dropped counts predictions shed by the bounded
 	// queue.
-	Withdrawn uint64 `json:"withdrawn"`
-	Skipped   uint64 `json:"skipped"`
-	Errors    uint64 `json:"errors"`
-	Dropped   uint64 `json:"dropped"`
+	Withdrawn uint64 `json:"withdrawn" metric:"spmt_spec_withdrawn_total" help:"Predictions stood down for saturation or drain."`
+	Skipped   uint64 `json:"skipped" metric:"spmt_spec_skipped_total" help:"Predictions vetoed as already stored or not self-owned."`
+	Errors    uint64 `json:"errors" metric:"spmt_spec_errors_total" help:"Speculative launches that failed."`
+	Dropped   uint64 `json:"dropped" metric:"spmt_spec_dropped_total" help:"Predictions shed by the bounded queue."`
 	// WastedBytes is the store bytes held by launched artifacts no
 	// demand request has asked for (the misprediction cost gauge);
 	// Accuracy is Hits/Launches — the paper's spawn-scheme accuracy
 	// analogue (0 when nothing has launched).
-	WastedBytes int64   `json:"wasted_bytes"`
-	Accuracy    float64 `json:"accuracy"`
+	WastedBytes int64   `json:"wasted_bytes" metric:"spmt_spec_wasted_bytes" help:"Store bytes held by launched artifacts no demand request has asked for."`
+	Accuracy    float64 `json:"accuracy" metric:"spmt_spec_accuracy" help:"Hits/launches — the spawn-scheme accuracy analogue."`
 	// QueueDepth is the instantaneous prediction-queue depth.
-	QueueDepth int `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth" metric:"spmt_spec_queue_depth" help:"Predictions queued for launch."`
 }
 
 // Stats snapshots the speculator counters.

@@ -6,11 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Every string literal that looks like a metric name. The bare "spmt_"
-# literal is the shared prefix constant, not a name; _test.go files are
-# excluded (they hold deliberately-invalid fixtures).
-names=$(grep -rhoE '"spmt_[A-Za-z0-9_.-]*"' --include='*.go' --exclude='*_test.go' internal cmd |
-  tr -d '"' | grep -vx 'spmt_' | sort -u)
+# Every string literal that looks like a metric name, plus the family
+# name (the first comma field) of every metric:"…" struct tag, which is
+# where the Stats structs declare their families; metric:"-" opts a
+# field out and names nothing. The bare "spmt_" literal is the shared
+# prefix constant, not a name; _test.go files are excluded (they hold
+# deliberately-invalid fixtures).
+names=$(
+  {
+    grep -rhoE '"spmt_[A-Za-z0-9_.-]*"' --include='*.go' --exclude='*_test.go' internal cmd |
+      tr -d '"'
+    grep -rhoE 'metric:"[^",]*' --include='*.go' --exclude='*_test.go' internal cmd |
+      sed 's/^metric:"//'
+  } | grep -vx -e 'spmt_' -e '-' | sort -u
+)
 
 if [ -z "$names" ]; then
   echo "check_metric_names: no spmt_ metric literals found — wrong tree?" >&2

@@ -45,9 +45,9 @@
 //
 // Usage:
 //
-//	spmt-server [-addr :8080] [-ops-addr :9090] [-parallel N] [-cache-entries N] [-cache-bytes 512MB]
+//	spmt-server [-addr :8080] [-ops-addr :9090] [-parallel N] [-cache-bytes 512MB]
 //	            [-store-dir /var/lib/spmt] [-store-bytes 4GB]
-//	            [-self http://host0:8080 -peers http://host0:8080,http://host1:8080,… [-vnodes 128]]
+//	            [-self http://host0:8080 -peers http://host0:8080,http://host1:8080,…]
 //
 // Endpoints:
 //
@@ -86,26 +86,19 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	opsAddr := flag.String("ops-addr", "", "ops listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "scheduler core budget shared by every parallelism level")
-	cacheEntries := flag.Int("cache-entries", engine.DefaultCacheEntries, "artifact-cache capacity (entries)")
 	cacheBytes := flag.String("cache-bytes", "", "memory-tier resident-byte budget, e.g. 512MB (empty = unbounded)")
 	storeDir := flag.String("store-dir", "", "disk-tier directory for persistent artifacts (empty = memory-only)")
 	storeBytes := flag.String("store-bytes", "", "disk-tier byte budget, e.g. 4GB (empty = unbounded)")
 	self := flag.String("self", "", "this node's URL as peers reach it, e.g. http://host0:8080 (enables peer mode)")
 	peers := flag.String("peers", "", "comma-separated URLs of the boot membership, including -self")
 	join := flag.String("join", "", "URL of an existing member to join through (alternative to -peers)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default)")
 	replicas := flag.Int("replicas", 0, "copies per key incl. the primary (0 = default 2; 1 disables replication)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "single health-probe deadline")
 	probeFailures := flag.Int("probe-failures", 3, "consecutive probe failures before a peer is suspected")
 	defaultDeadline := flag.Duration("default-deadline", 0, "per-request time budget minted for /v1 requests without an X-Spmt-Deadline header, propagated cluster-wide (0 = none)")
 	admitCapacity := flag.Int("admit-capacity", 0, "weighted concurrency for cold computes (0 = auto: 4*parallel; negative disables admission)")
-	admitQueue := flag.Int("admit-queue", 0, "bounded admission wait-queue length (0 = 4*capacity)")
-	admitMaxWait := flag.Duration("admit-max-wait", 0, "max time one request may queue for admission (0 = 2s)")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive peer failures before its circuit opens (0 = default 5; negative disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
 	speculate := flag.Bool("speculate", false, "speculatively precompute predicted artifacts on idle cores (responses are byte-identical either way)")
-	replRepair := flag.Duration("repl-repair-interval", 0, "replication drop-repair tick period (0 = 2s)")
 	faultInject := flag.String("fault-inject", "", "TESTING ONLY: deterministic fault spec, e.g. 'disk.read:0.1,peer.latency:0.5:100ms'")
 	faultSeed := flag.Uint64("fault-seed", 1, "TESTING ONLY: seed for -fault-inject decisions")
 	flag.Parse()
@@ -139,12 +132,7 @@ func main() {
 		if *peers != "" {
 			members = strings.Split(*peers, ",")
 		}
-		sopts := shard.Options{
-			VNodes:          *vnodes,
-			Replicas:        *replicas,
-			BreakerFailures: *breakerFailures,
-			BreakerCooldown: *breakerCooldown,
-		}
+		sopts := shard.Options{Replicas: *replicas}
 		if inj != nil {
 			sopts.WrapTransport = inj.Transport
 		}
@@ -156,7 +144,7 @@ func main() {
 		}
 	}
 	maxBytes := parseBytesFlag("-cache-bytes", *cacheBytes)
-	opts := engine.Options{Workers: *parallel, CacheEntries: *cacheEntries, CacheBytes: maxBytes}
+	opts := engine.Options{Workers: *parallel, CacheBytes: maxBytes}
 	if *storeDir != "" {
 		disk, err := engine.OpenDiskTier(*storeDir, parseBytesFlag("-store-bytes", *storeBytes), codec.New())
 		if err != nil {
@@ -194,13 +182,10 @@ func main() {
 		capacity = 0 // admission disabled
 	}
 	srv := server.NewWithConfig(eng, cl, server.Config{
-		DefaultDeadline:    *defaultDeadline,
-		AdmitCapacity:      capacity,
-		AdmitQueue:         *admitQueue,
-		AdmitMaxWait:       *admitMaxWait,
-		Fault:              inj,
-		Speculate:          *speculate,
-		ReplRepairInterval: *replRepair,
+		DefaultDeadline: *defaultDeadline,
+		AdmitCapacity:   capacity,
+		Fault:           inj,
+		Speculate:       *speculate,
 	})
 	var prober *shard.Prober
 	if cl != nil {
@@ -237,7 +222,7 @@ func main() {
 		}()
 	}
 	slog.Info("listening",
-		"addr", *addr, "workers", eng.Workers(), "cache_entries", *cacheEntries,
+		"addr", *addr, "workers", eng.Workers(), "cache_entries", engine.DefaultCacheEntries,
 		"cache_bytes", orUnbounded(*cacheBytes), "store", orMemoryOnly(*storeDir))
 
 	// Graceful shutdown: stop accepting requests, then drain the disk

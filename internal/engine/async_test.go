@@ -46,7 +46,7 @@ func TestAsyncWriterDrainsEverything(t *testing.T) {
 }
 
 // TestAsyncWriterDedupsQueuedKeys: a key queued but not yet written
-// must not be queued twice (Add + Demote race on the same artifact).
+// must not be queued twice (write-through racing an eviction demotion).
 func TestAsyncWriterDedupsQueuedKeys(t *testing.T) {
 	dt := openTestTier(t, t.TempDir(), 0)
 	for i := 0; i < 10; i++ {

@@ -89,8 +89,8 @@ type Cache struct {
 	misses    uint64
 	evictions uint64
 	// onEvict, when set, receives every evicted entry after the cache
-	// lock is released — the tiered store uses it to demote evictions
-	// to the disk tier.
+	// lock is released — an engine with a disk tier uses it to demote
+	// evictions to disk.
 	onEvict func(key string, val any)
 }
 
@@ -128,9 +128,8 @@ func (c *Cache) OnEvict(fn func(key string, val any)) { c.onEvict = fn }
 // used. The second result reports whether the key was present.
 func (c *Cache) Get(key string) (any, bool) { return c.lookup(key, true) }
 
-// lookup is Get with optional stats recording: the tiered store's
-// promotion path re-checks membership without double-counting a
-// hit or miss.
+// lookup is Get with optional stats recording: a key's claimed walk
+// re-checks membership without double-counting the caller's miss.
 func (c *Cache) lookup(key string, record bool) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -467,17 +467,19 @@ func (t *DiskTier) Get(key string) (any, bool) {
 		t.misses++
 		return nil, false
 	}
-	ent := el.Value.(*diskEntry)
-	v, err := t.load(ent, key)
+	kind, data, ok := t.readLocked(el, key)
+	if !ok {
+		t.misses++
+		return nil, false
+	}
+	v, err := t.codec.Decode(kind, data)
 	if err != nil {
 		t.dropLocked(el)
-		t.errors++
+		t.failLocked("dropping %s: decode %q: %v", el.Value.(*diskEntry).path, kind, err)
 		t.misses++
-		log.Printf("engine: disk tier: dropping %s: %v", ent.path, err)
 		return nil, false
 	}
 	t.hits++
-	t.ll.MoveToFront(el)
 	return v, true
 }
 
@@ -495,6 +497,13 @@ func (t *DiskTier) Image(key string) (kind string, data []byte, ok bool) {
 	if !found {
 		return "", nil, false
 	}
+	return t.readLocked(el, key)
+}
+
+// readLocked reads and verifies one artifact file, marking it most
+// recently used; a failed read drops the file and counts an error.
+// Callers must hold t.mu.
+func (t *DiskTier) readLocked(el *list.Element, key string) (kind string, data []byte, ok bool) {
 	ent := el.Value.(*diskEntry)
 	var img []byte
 	var err error
@@ -513,37 +522,11 @@ func (t *DiskTier) Image(key string) (kind string, data []byte, ok bool) {
 	}
 	if err != nil {
 		t.dropLocked(el)
-		t.errors++
-		log.Printf("engine: disk tier: dropping %s: %v", ent.path, err)
+		t.failLocked("dropping %s: %v", ent.path, err)
 		return "", nil, false
 	}
 	t.ll.MoveToFront(el)
 	return kind, data, true
-}
-
-// load reads and decodes one artifact file. Callers must hold t.mu.
-func (t *DiskTier) load(ent *diskEntry, key string) (any, error) {
-	if t.faults != nil {
-		if err := t.faults.ReadError(key); err != nil {
-			return nil, err
-		}
-	}
-	img, err := os.ReadFile(ent.path)
-	if err != nil {
-		return nil, err
-	}
-	kind, fileKey, data, err := decodeFile(img)
-	if err != nil {
-		return nil, err
-	}
-	if fileKey != key {
-		return nil, fmt.Errorf("key collision: file holds %q", fileKey)
-	}
-	v, err := t.codec.Decode(kind, data)
-	if err != nil {
-		return nil, fmt.Errorf("decode %q: %w", kind, err)
-	}
-	return v, nil
 }
 
 // Put synchronously persists the artifact under key if its type has a
@@ -613,13 +596,6 @@ func (t *DiskTier) Put(key string, val any) {
 	t.writes++
 	t.evict()
 }
-
-// Demote queues a memory-tier eviction for the background writer
-// unless it is already resident or queued (the write-through path
-// usually got there first). Asynchronous: eviction happens on an Add's
-// completion path, which must not absorb an encode of a trace-sized
-// artifact.
-func (t *DiskTier) Demote(key string, val any) { t.PutAsync(key, val) }
 
 // Remove discards the artifact stored (or pending) under key and
 // reports whether anything was dropped. A write already handed to the

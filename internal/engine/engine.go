@@ -3,8 +3,9 @@
 // analysis pipeline (generate → emulate → prune CFG → reach →
 // select/heuristic tables → simulate) as keyed jobs with dependencies
 // and runs them under the process's core budget (internal/sched),
-// deduplicating in-flight work singleflight-style and memoizing
-// completed artifacts in a content-keyed LRU cache.
+// resolving each key through one singleflight walk — memory, disk
+// tier, remote peer, compute (see store.go) — and memoizing completed
+// artifacts in a content-keyed LRU cache.
 //
 // Every job is a pure function of its dependency outputs, so execution
 // is deterministic: a run with 8 workers produces results identical to
@@ -69,15 +70,16 @@ type Options struct {
 	// keeps memory flat where an entry count alone would not.
 	CacheBytes int64
 	// Disk, when non-nil, backs the in-memory cache with a persistent
-	// tier: cache misses read through to disk (promoting hits into
-	// memory), computed artifacts are written through, and memory
-	// evictions are demoted instead of discarded. See OpenDiskTier.
+	// tier: it is the second step of a key's lookup (a hit is promoted
+	// into memory), stored artifacts are written through, and memory
+	// evictions are demoted instead of discarded. See OpenDiskTier and
+	// the lookup order in store.go.
 	Disk *DiskTier
 	// Remote, when non-nil, is consulted after a local store miss and
 	// before computing: a shard cluster wires this to the owning
 	// node's artifact-exchange endpoint so artifacts transfer instead
-	// of being recomputed. Fetched artifacts are added through the
-	// local store (and so written through to Disk).
+	// of being recomputed. Fetched artifacts are stored like computed
+	// ones (and so written through to Disk).
 	Remote RemoteFetcher
 	// Replicate, when non-nil, is handed every locally-COMPUTED
 	// artifact right after it is persisted — the R=2 write-through
@@ -105,9 +107,10 @@ type Stats struct {
 	// Executed counts Run invocations (cache misses that were not
 	// deduplicated onto another caller's in-flight run).
 	Executed uint64 `json:"executed" metric:"spmt_engine_jobs_executed_total" help:"Engine job Run invocations (store misses not deduplicated)."`
-	// Deduped counts calls that joined an in-flight computation of the
-	// same key instead of running it again.
-	Deduped uint64 `json:"deduped" metric:"spmt_engine_jobs_deduped_total" help:"Engine calls that joined an identical in-flight computation."`
+	// Deduped counts calls that joined another caller's in-flight
+	// resolution of the same key (a disk promotion, a remote fetch or
+	// a computation) instead of resolving it again.
+	Deduped uint64 `json:"deduped" metric:"spmt_engine_jobs_deduped_total" help:"Engine calls that joined an identical in-flight resolution."`
 	// Latency holds per-job-kind Run-latency histograms, keyed by the
 	// leading segment of the job key ("emu", "reach", "sim", …).
 	Latency map[string]LatencyStats `json:"latency,omitempty" metric:"spmt_engine_job_duration_seconds,kind" help:"Engine job Run latency by job kind."`
@@ -116,11 +119,20 @@ type Stats struct {
 	Sched sched.Stats `json:"sched"`
 }
 
+// call is one in-flight resolution of a key: whoever registers it in
+// Engine.inflight walks the store tiers (and, for Exec, the remote and
+// the computation) while every concurrent caller of the key waits on
+// done.
 type call struct {
 	done chan struct{}
 	val  any
 	err  error
 }
+
+// errUnresolved is what a local-only claim (Peek, WarmFromDisk, a
+// refused Inject) publishes when it found nothing to hand over: an Exec
+// that joined it retries and resolves the key itself.
+var errUnresolved = errors.New("engine: key not resolved locally")
 
 // Engine runs jobs under a bounded core budget over a shared artifact
 // cache. It is safe for concurrent use; a single Engine is meant to be
@@ -131,16 +143,13 @@ type Engine struct {
 	// ownSched marks a scheduler New built itself (Options.Sched nil);
 	// Close stops it. A caller's scheduler is the caller's to close.
 	ownSched bool
-	// local is the store chain Exec memoizes through (memory, or
-	// memory+disk) — also the view Peek and WarmFromDisk use. rstore,
-	// when non-nil, is the remote-fetch stage consulted between a local
-	// miss and a fresh computation.
-	local    Store
-	rstore   *remoteStore
-	repl     Replicator
 	mem      *Cache
 	disk     *DiskTier
+	remote   RemoteFetcher
+	repl     Replicator
 	latency  *latencyRecorder
+	// inflight holds the one call resolving each key that missed the
+	// memory tier; see claim.
 	mu       sync.Mutex
 	inflight map[string]*call
 	executed atomic.Uint64
@@ -154,22 +163,20 @@ func New(opts Options) *Engine {
 		s, own = sched.New(opts.Workers), true
 	}
 	mem := NewCacheSized(opts.CacheEntries, opts.CacheBytes)
-	var local Store = mem
 	if opts.Disk != nil {
-		local = NewTieredStore(mem, opts.Disk)
-	}
-	var rstore *remoteStore
-	if opts.Remote != nil {
-		rstore = newRemoteStore(local, opts.Remote)
+		// Demote evictions through the background writer: eviction
+		// rides an Add's completion path, which must not absorb the
+		// encode of a trace-sized artifact. Write-through usually got
+		// there first, and PutAsync skips a resident or queued key.
+		mem.OnEvict(opts.Disk.PutAsync)
 	}
 	return &Engine{
 		sched:    s,
 		ownSched: own,
-		local:    local,
-		rstore:   rstore,
-		repl:     opts.Replicate,
 		mem:      mem,
 		disk:     opts.Disk,
+		remote:   opts.Remote,
+		repl:     opts.Replicate,
 		latency:  newLatencyRecorder(),
 		inflight: make(map[string]*call),
 	}
@@ -221,185 +228,142 @@ func (e *Engine) Close() {
 	}
 }
 
-// Drop discards the artifact stored under key from every local tier —
-// memory and disk, with the async write queue flushed first so an
-// in-flight write-through cannot resurrect the key. It reports whether
-// any tier held the key. Drop exists for tests and cache-invalidation
-// tooling; it does not touch remote replicas.
-func (e *Engine) Drop(key string) bool {
-	dropped := e.mem.Remove(key)
-	if e.disk != nil {
-		e.disk.Flush()
-		if e.disk.Remove(key) {
-			dropped = true
-		}
-	}
-	return dropped
-}
-
-// WarmFromDisk promotes disk-resident artifacts into the memory tier —
-// the cold-start path for a server or CLI pointed at a warm store
-// directory — and returns how many artifacts were loaded. Only the
-// most-recently-used artifacts that fit the memory budget are decoded
-// (file size approximates resident cost), so boot time scales with
-// the memory tier, not the store directory; the selected set is then
-// replayed least recently used first so recency ends hottest-first. A
-// memory-only engine warms nothing.
-func (e *Engine) WarmFromDisk() int {
-	ts, ok := e.local.(*TieredStore)
-	if !ok || e.disk == nil {
-		return 0
-	}
-	entries := e.disk.Entries() // LRU first
-	start := len(entries)
-	var bytes int64
-	for i := len(entries) - 1; i >= 0; i-- {
-		bytes += entries[i].Bytes
-		if (e.mem.maxBytes > 0 && bytes > e.mem.maxBytes) ||
-			len(entries)-i > e.mem.capacity {
-			break
-		}
-		start = i
-	}
-	n := 0
-	for _, ent := range entries[start:] {
-		if _, ok := ts.mem.lookup(ent.Key, false); ok {
-			continue
-		}
-		if _, ok := ts.Get(ent.Key); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// Exec resolves a job: cache hit, join of an identical in-flight
-// computation, or a fresh run under the core budget (dependencies
-// first, concurrently). Exec itself holds no core: only the job's Run
-// does, for as long as it runs. The error of a failed run is
-// propagated to every joined caller; failures are never cached, so a
-// later Exec retries.
+// Exec resolves a job through the store's one lookup order: a memory
+// hit, else a single leader per key walks the disk tier, the remote
+// fetcher and finally a fresh run under the core budget (dependencies
+// first, concurrently), and every concurrent caller of the key joins
+// that walk. Exec itself holds no core: only the job's Run does, for
+// as long as it runs. The error of a failed run is propagated to every
+// joined caller; failures are never cached, so a later Exec retries.
 //
 // Under an active trace, every keyed resolution records an
 // "exec <kind>" span whose tier attribute names how the artifact was
-// obtained — mem, disk, remote, deduped, or computed — the per-stage
-// attribution the span tree exists for. An untraced call pays one
-// context lookup and nothing else.
+// obtained — mem, disk, remote, deduped, computed, or rejected (the
+// admission gate refused the computation) — the per-stage attribution
+// the span tree exists for. An untraced call pays one context lookup
+// and nothing else.
 func (e *Engine) Exec(ctx context.Context, j Job) (any, error) {
-	if j.Key != "" {
-		span, ctx := obs.StartSpan(ctx, "exec "+JobKind(j.Key), obs.A("key", j.Key))
-		defer span.End()
-		if IsSpeculative(ctx) {
-			span.SetAttr("speculative", "true")
+	if j.Key == "" {
+		return e.run(ctx, j)
+	}
+	span, ctx := obs.StartSpan(ctx, "exec "+JobKind(j.Key), obs.A("key", j.Key))
+	defer span.End()
+	if IsSpeculative(ctx) {
+		span.SetAttr("speculative", "true")
+	}
+	// Fast path: a memory hit takes no in-flight lock.
+	if v, ok := e.mem.Get(j.Key); ok {
+		span.SetAttr("tier", "mem")
+		return v, nil
+	}
+	c, leader := e.claim(j.Key)
+	if !leader {
+		e.deduped.Add(1)
+		span.SetAttr("tier", "deduped")
+		// The joiner waits holding no core, so the leader can always
+		// get one for its Run.
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		// The memory peek exists only to split the mem/disk tier
-		// attribute; it records no stats and is skipped untraced.
-		memResident := false
-		if span.Active() && e.disk != nil {
-			_, memResident = e.mem.Recheck(j.Key)
-		}
-		if v, ok := e.local.Get(j.Key); ok {
-			if e.disk != nil && !memResident {
-				span.SetAttr("tier", "disk")
-			} else {
-				span.SetAttr("tier", "mem")
-			}
-			return v, nil
-		}
-		if e.rstore != nil {
-			if v, ok := e.rstore.Fetch(ctx, j.Key); ok {
-				span.SetAttr("tier", "remote")
-				return v, nil
-			}
-		}
-		// Singleflight: join an identical in-flight computation.
-		e.mu.Lock()
-		if c, ok := e.inflight[j.Key]; ok {
-			e.mu.Unlock()
-			e.deduped.Add(1)
-			span.SetAttr("tier", "deduped")
-			// The joiner waits holding no core, so the leader can
-			// always get one for its Run.
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err != nil && ctx.Err() == nil &&
-				(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-				// The leader was cancelled under its own context;
-				// retry under ours rather than surfacing a foreign
-				// cancellation.
-				return e.Exec(ctx, j)
-			}
-			return c.val, c.err
-		}
-		c := &call{done: make(chan struct{})}
-		e.inflight[j.Key] = c
-		e.mu.Unlock()
-
-		completed := false
-		fromStore := false
-		defer func() {
-			if !completed {
-				// j.Run panicked. Record an error so joined callers
-				// unblock and the key is not wedged forever, then let
-				// the panic propagate to our own caller.
-				c.err = fmt.Errorf("engine: job %q panicked", j.Key)
-			}
-			if c.err == nil && !fromStore {
-				ps, pctx := obs.StartSpan(ctx, "persist "+JobKind(j.Key), obs.A("key", j.Key))
-				e.local.Add(j.Key, c.val)
-				if e.repl != nil {
-					// Only freshly-computed artifacts replicate: this
-					// branch is unreachable for store hits, remote
-					// fetches, and injected pushes.
-					e.repl.Replicate(pctx, j.Key, c.val)
-				}
-				ps.End()
-			}
-			e.mu.Lock()
-			delete(e.inflight, j.Key)
-			e.mu.Unlock()
-			close(c.done)
-		}()
-		// Double-check now that we are the leader: a racing leader may
-		// have completed — and published — this key between our store
-		// miss above and the inflight registration. Re-running the job
-		// would mint a second pointer for artifacts the racer's
-		// consumers already hold.
-		if v, ok := e.local.Recheck(j.Key); ok {
-			span.SetAttr("tier", "mem")
-			c.val, fromStore, completed = v, true, true
-			return c.val, nil
-		}
-		// Committed to computing: consult the request's admission hook.
-		// This is the authoritative gate — a warm classification made at
-		// the HTTP layer can be stale by now (the artifact evicted
-		// between probe and here), and only this point knows a compute
-		// is really about to happen. Its wait holds no core.
-		if gate := computeGateFrom(ctx); gate != nil {
-			release, gerr := gate(ctx)
-			if gerr != nil {
-				span.SetAttr("tier", "rejected")
-				span.SetAttr("error", gerr.Error())
-				c.err = gerr
-				completed = true
-				return nil, gerr
-			}
-			if release != nil {
-				defer release()
-			}
-		}
-		span.SetAttr("tier", "computed")
-		c.val, c.err = e.run(ctx, j)
-		completed = true
-		if c.err != nil {
-			span.SetAttr("error", c.err.Error())
+		if errors.Is(c.err, errUnresolved) || (c.err != nil && ctx.Err() == nil &&
+			(errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded))) {
+			// A local-only claim found nothing, or the leader was
+			// cancelled under its own context: resolve under ours
+			// rather than surfacing a foreign outcome.
+			return e.Exec(ctx, j)
 		}
 		return c.val, c.err
 	}
-	return e.run(ctx, j)
+	completed := false
+	defer func() {
+		if !completed {
+			// j.Run panicked. Record an error so joined callers
+			// unblock and the key is not wedged forever, then let
+			// the panic propagate to our own caller.
+			c.err = fmt.Errorf("engine: job %q panicked", j.Key)
+		}
+		e.publish(j.Key, c)
+	}()
+	tier := e.lead(ctx, j, c)
+	completed = true
+	span.SetAttr("tier", tier)
+	if c.err != nil {
+		span.SetAttr("error", c.err.Error())
+	} else if tier == "computed" {
+		ps, pctx := obs.StartSpan(ctx, "persist "+JobKind(j.Key), obs.A("key", j.Key))
+		e.store(j.Key, c.val)
+		if e.repl != nil {
+			// Only freshly-computed artifacts replicate: store hits,
+			// remote fetches, and injected pushes never get here.
+			e.repl.Replicate(pctx, j.Key, c.val)
+		}
+		ps.End()
+	}
+	return c.val, c.err
+}
+
+// lead is the leader's walk for a key it has claimed: the local tiers,
+// then the remote fetcher, then — committed to computing — the
+// admission gate and the run. It fills c and returns the tier that
+// answered; a computed value is persisted by the caller, once the gate
+// has been released.
+func (e *Engine) lead(ctx context.Context, j Job, c *call) string {
+	if v, tier, ok := e.local(j.Key); ok {
+		c.val = v
+		return tier
+	}
+	if e.remote != nil {
+		if v, ok := e.remote.Fetch(ctx, j.Key); ok {
+			e.store(j.Key, v)
+			c.val = v
+			return "remote"
+		}
+	}
+	// This is the authoritative admission gate — a warm classification
+	// made at the HTTP layer can be stale by now (the artifact evicted
+	// between probe and here), and only this point knows a compute is
+	// really about to happen. Its wait holds no core.
+	if gate := computeGateFrom(ctx); gate != nil {
+		release, err := gate(ctx)
+		if err != nil {
+			c.err = err
+			return "rejected"
+		}
+		if release != nil {
+			defer release()
+		}
+	}
+	c.val, c.err = e.run(ctx, j)
+	return "computed"
+}
+
+// claim registers the caller as the one resolver of key, or returns
+// the call already resolving it. Every path that can put a key into
+// the store — Exec, Peek, WarmFromDisk, Inject — claims it first, so
+// a key is resolved by one walk at a time and every consumer within a
+// process life observes one pointer (core.Select's graph/reach
+// identity check depends on it).
+func (e *Engine) claim(key string) (c *call, leader bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c, ok := e.inflight[key]; ok {
+		return c, false
+	}
+	c = &call{done: make(chan struct{})}
+	e.inflight[key] = c
+	return c, true
+}
+
+// publish releases a claim and wakes its joiners. Whatever the claim
+// resolved is already in the store, so a caller arriving after the
+// release hits memory.
+func (e *Engine) publish(key string, c *call) {
+	e.mu.Lock()
+	delete(e.inflight, key)
+	e.mu.Unlock()
+	close(c.done)
 }
 
 // run resolves dependencies holding no core, then executes j.Run on

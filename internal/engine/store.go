@@ -1,29 +1,21 @@
-// Tiered artifact store: the engine memoizes job outputs through the
-// Store interface. The default store is the in-memory byte-weighted
-// LRU (Cache); wiring in a DiskTier upgrades it to a TieredStore whose
-// Get transparently promotes disk hits into memory and whose memory
-// evictions are demoted to disk, so a restarted process warms from the
-// artifacts a previous run already computed.
+// Artifact store: the engine memoizes job outputs in an in-memory
+// byte-weighted LRU (Cache), optionally backed by a persistent DiskTier
+// whose files survive a restart. A key is resolved in one order, by one
+// walk per key:
+//
+//  1. memory — the only step taken without claiming the key;
+//  2. the disk tier — its pending-write queue, then its file — with a
+//     hit promoted into memory;
+//  3. Options.Remote, for Exec only (see remote.go);
+//  4. the admission gate and a fresh computation, for Exec only.
+//
+// Steps 2–4 run under the key's claim in Engine.inflight: the first
+// caller walks, every concurrent caller joins its outcome. Peek and
+// WarmFromDisk take steps 1–2 under the same claim, and Inject stores
+// under it, so there is exactly one place a key gets its pointer.
+// Stored artifacts are added to memory and queued for the disk tier's
+// background writer; memory evictions are demoted onto disk.
 package engine
-
-import "sync"
-
-// Store is the artifact store Exec memoizes through. Implementations
-// must be safe for concurrent use.
-type Store interface {
-	// Get returns the artifact stored under key, if present.
-	Get(key string) (any, bool)
-	// Recheck is Get for the engine's double-checked leader path: it
-	// consults only what is immediately resident (no disk read) and
-	// records no hit/miss statistics, so the overwhelmingly-common
-	// miss does not skew observability.
-	Recheck(key string) (any, bool)
-	// Add stores an artifact under its content key.
-	Add(key string, val any)
-}
-
-// Recheck implements Store for the bare memory tier.
-func (c *Cache) Recheck(key string) (any, bool) { return c.lookup(key, false) }
 
 // Codec translates artifacts to and from a self-describing byte form
 // for the disk tier. Implementations live outside this package (see
@@ -38,83 +30,173 @@ type Codec interface {
 	Decode(kind string, data []byte) (any, error)
 }
 
-// TieredStore chains the in-memory LRU in front of a disk tier.
-type TieredStore struct {
-	mem  *Cache
-	disk *DiskTier
-	// promote serialises disk-to-memory promotion so concurrent misses
-	// on the same key decode once and every caller observes the same
-	// promoted pointer — the same identity guarantee the memory tier
-	// alone provides.
-	promote sync.Mutex
+// local walks the local tiers for a key the caller has claimed: a
+// memory recheck (a racing resolver may have published between the
+// caller's miss and its claim), then the disk tier, promoting a hit
+// into memory. The recheck records no stats: the caller's own memory
+// lookup already counted the miss.
+func (e *Engine) local(key string) (v any, tier string, ok bool) {
+	if v, ok := e.mem.lookup(key, false); ok {
+		return v, "mem", true
+	}
+	if e.disk != nil {
+		if v, ok := e.disk.Get(key); ok {
+			e.mem.Add(key, v)
+			return v, "disk", true
+		}
+	}
+	return nil, "", false
 }
 
-// NewTieredStore builds a store over the given memory and disk tiers
-// and wires memory evictions to demote onto disk. The disk tier may be
-// nil, in which case the store degenerates to the memory tier.
-func NewTieredStore(mem *Cache, disk *DiskTier) *TieredStore {
-	t := &TieredStore{mem: mem, disk: disk}
-	if disk != nil {
-		mem.OnEvict(func(key string, val any) { disk.Demote(key, val) })
-	}
-	return t
-}
-
-// Memory returns the memory tier.
-func (t *TieredStore) Memory() *Cache { return t.mem }
-
-// Disk returns the disk tier (nil when the store is memory-only).
-func (t *TieredStore) Disk() *DiskTier { return t.disk }
-
-// Get returns the artifact under key, reading through the tiers:
-// memory first, then disk, promoting a disk hit into memory so the
-// next lookup is free.
-func (t *TieredStore) Get(key string) (any, bool) {
-	if v, ok := t.mem.Get(key); ok {
-		return v, true
-	}
-	if t.disk == nil {
-		return nil, false
-	}
-	t.promote.Lock()
-	defer t.promote.Unlock()
-	// A concurrent caller may have promoted while we waited.
-	if v, ok := t.mem.lookup(key, false); ok {
-		return v, true
-	}
-	v, ok := t.disk.Get(key)
-	if !ok {
-		return nil, false
-	}
-	// A concurrent Add of this key may have landed while we read the
-	// disk (its write-through is what made the key disk-resident in
-	// the first place: Add fills memory before disk, so a disk hit
-	// implies the computed artifact already reached the memory tier).
-	// That in-memory artifact wins over our freshly-decoded copy —
-	// every caller of a key must observe one pointer, or downstream
-	// identity checks (reach result vs. its graph) break.
-	if mv, ok := t.mem.lookup(key, false); ok {
-		return mv, true
-	}
-	t.mem.Add(key, v)
-	return v, true
-}
-
-// Recheck consults the memory tier only: the leader double-check runs
-// after every store miss, and pulling the disk into it would pay a
-// decode on the hot path for a race that Add's write-through ordering
-// already confines to memory.
-func (t *TieredStore) Recheck(key string) (any, bool) { return t.mem.lookup(key, false) }
-
-// Add stores the artifact in memory and queues it for the disk tier's
-// background writer (when its type has a codec), so every computed
+// store adds an artifact to memory and queues it for the disk tier's
+// background writer (when its type has a codec), so every stored
 // artifact becomes durable without the encode+write riding the job's
 // completion path. The queue never drops writes — a full queue blocks
 // — so a flushed store is exactly what synchronous write-through would
 // have produced.
-func (t *TieredStore) Add(key string, val any) {
-	t.mem.Add(key, val)
-	if t.disk != nil {
-		t.disk.PutAsync(key, val)
+func (e *Engine) store(key string, v any) {
+	e.mem.Add(key, v)
+	if e.disk != nil {
+		e.disk.PutAsync(key, v)
 	}
+}
+
+// claimLocal resolves key from the local tiers alone, under its claim.
+// A key already in flight reports a miss: its resolver may be
+// computing, and a local lookup never waits on a computation.
+func (e *Engine) claimLocal(key string) (v any, tier string, ok bool) {
+	c, leader := e.claim(key)
+	if !leader {
+		return nil, "", false
+	}
+	if v, tier, ok = e.local(key); ok {
+		c.val = v
+	} else {
+		c.err = errUnresolved
+	}
+	e.publish(key, c)
+	return v, tier, ok
+}
+
+// WarmFromDisk promotes disk-resident artifacts into the memory tier —
+// the cold-start path for a server or CLI pointed at a warm store
+// directory — and returns how many artifacts were loaded. Only the
+// most-recently-used artifacts that fit the memory budget are decoded
+// (file size approximates resident cost), so boot time scales with
+// the memory tier, not the store directory; the selected set is then
+// replayed least recently used first so recency ends hottest-first. A
+// memory-only engine warms nothing.
+func (e *Engine) WarmFromDisk() int {
+	if e.disk == nil {
+		return 0
+	}
+	entries := e.disk.Entries() // LRU first
+	start := len(entries)
+	var bytes int64
+	for i := len(entries) - 1; i >= 0; i-- {
+		bytes += entries[i].Bytes
+		if (e.mem.maxBytes > 0 && bytes > e.mem.maxBytes) ||
+			len(entries)-i > e.mem.capacity {
+			break
+		}
+		start = i
+	}
+	n := 0
+	for _, ent := range entries[start:] {
+		if _, tier, _ := e.claimLocal(ent.Key); tier == "disk" {
+			n++
+		}
+	}
+	return n
+}
+
+// Peek returns the artifact under key from the local tiers only —
+// never the remote fetcher, never by running a job. It is the lookup
+// behind a shard's artifact-exchange endpoint, where consulting the
+// remote would bounce a request between nodes that disagree about
+// ownership instead of reporting a clean miss.
+func (e *Engine) Peek(key string) (any, bool) {
+	if key == "" {
+		return nil, false
+	}
+	if v, ok := e.mem.Get(key); ok {
+		return v, true
+	}
+	v, _, ok := e.claimLocal(key)
+	return v, ok
+}
+
+// PeekImage returns the already-encoded disk image of a disk-resident
+// artifact (kind tag + payload) without decoding it or promoting it
+// into the memory tier. A memory-only engine, a memory-only key, or a
+// queued-but-unwritten artifact reports false; callers then encode via
+// Peek.
+func (e *Engine) PeekImage(key string) (kind string, data []byte, ok bool) {
+	if key == "" || e.disk == nil {
+		return "", nil, false
+	}
+	return e.disk.Image(key)
+}
+
+// Has reports whether the artifact under key is resident in any local
+// tier — memory, disk, or the disk tier's async-write queue — without
+// decoding, promoting, or recording stats. It answers a peer's
+// replication check (GET /v1/artifacts?check=1).
+func (e *Engine) Has(key string) bool {
+	if key == "" {
+		return false
+	}
+	if _, ok := e.mem.lookup(key, false); ok {
+		return true
+	}
+	return e.disk != nil && e.disk.HasOrPending(key)
+}
+
+// Inject stores an artifact a PEER computed — the receive side of R=2
+// write-through replication — and reports whether it was stored (false
+// when the key is already resident or being resolved here; an
+// in-flight leader's own result supersedes the push, so accepting it
+// would mint a second pointer for consumers the leader already
+// served). The value is stored under the key's claim like any computed
+// artifact: memory tier plus async disk write-through.
+func (e *Engine) Inject(key string, v any) bool {
+	if key == "" || v == nil {
+		return false
+	}
+	c, leader := e.claim(key)
+	if !leader {
+		return false
+	}
+	stored := !e.Has(key)
+	if stored {
+		e.store(key, v)
+		c.val = v
+	} else {
+		c.err = errUnresolved
+	}
+	e.publish(key, c)
+	return stored
+}
+
+// Drop discards the artifact stored under key from every local tier —
+// memory and disk, with the async write queue flushed first so an
+// earlier write-through cannot resurrect the key — and reports whether
+// any tier held it. Drop waits out an in-flight resolution of the key
+// and then holds the key's claim, so nothing can store the key
+// mid-drop. It exists for tests and cache-invalidation tooling; it
+// does not touch remote replicas.
+func (e *Engine) Drop(key string) bool {
+	c, leader := e.claim(key)
+	for !leader {
+		<-c.done
+		c, leader = e.claim(key)
+	}
+	dropped := e.mem.Remove(key)
+	if e.disk != nil {
+		e.disk.Flush()
+		dropped = e.disk.Remove(key) || dropped
+	}
+	c.err = errUnresolved
+	e.publish(key, c)
+	return dropped
 }

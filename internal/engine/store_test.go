@@ -63,9 +63,10 @@ func openTestTier(t *testing.T, dir string, maxBytes int64) *DiskTier {
 func TestTieredStoreWriteThroughAndPromotion(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTestTier(t, dir, 0)
-	ts := NewTieredStore(NewCacheSized(8, 0), dt)
+	eng := New(Options{Workers: 1, CacheEntries: 8, Disk: dt})
+	t.Cleanup(eng.Close)
 
-	ts.Add("k1", &blob{S: "hello", Bytes: 64})
+	eng.store("k1", &blob{S: "hello", Bytes: 64})
 	dt.Flush()
 	if !dt.Has("k1") {
 		t.Fatal("Add must write through to disk")
@@ -74,18 +75,19 @@ func TestTieredStoreWriteThroughAndPromotion(t *testing.T) {
 	// A fresh tier over the same directory simulates a restart: the
 	// memory tier is cold, the disk tier warm.
 	dt2 := openTestTier(t, dir, 0)
-	ts2 := NewTieredStore(NewCacheSized(8, 0), dt2)
-	v, ok := ts2.Get("k1")
+	eng2 := New(Options{Workers: 1, CacheEntries: 8, Disk: dt2})
+	t.Cleanup(eng2.Close)
+	v, ok := eng2.Peek("k1")
 	if !ok || v.(*blob).S != "hello" {
 		t.Fatalf("disk read-through = %v, %v", v, ok)
 	}
 	// Promotion: the second lookup must be a memory hit returning the
 	// identical pointer.
-	v2, ok := ts2.Get("k1")
+	v2, ok := eng2.Peek("k1")
 	if !ok || v2 != v {
 		t.Fatal("disk hit was not promoted into memory")
 	}
-	if st := ts2.Memory().Stats(); st.Hits != 1 {
+	if st := eng2.mem.Stats(); st.Hits != 1 {
 		t.Errorf("memory hits = %d, want 1", st.Hits)
 	}
 	if st := dt2.Stats(); st.Hits != 1 {
@@ -97,8 +99,9 @@ func TestMemoryEvictionDemotesToDisk(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTestTier(t, dir, 0)
 	// Tiny memory budget: adding the second artifact evicts the first.
-	ts := NewTieredStore(NewCacheSized(8, 100), dt)
-	ts.Add("a", &blob{S: "first", Bytes: 80})
+	eng := New(Options{Workers: 1, CacheEntries: 8, CacheBytes: 100, Disk: dt})
+	t.Cleanup(eng.Close)
+	eng.store("a", &blob{S: "first", Bytes: 80})
 	dt.Flush()
 	// Delete the write-through copy so only demotion can restore it.
 	dt.mu.Lock()
@@ -106,15 +109,15 @@ func TestMemoryEvictionDemotesToDisk(t *testing.T) {
 		dt.dropLocked(el)
 	}
 	dt.mu.Unlock()
-	ts.Add("b", &blob{S: "second", Bytes: 80})
+	eng.store("b", &blob{S: "second", Bytes: 80})
 	dt.Flush()
-	if ts.Memory().Len() != 1 {
-		t.Fatalf("memory entries = %d, want 1", ts.Memory().Len())
+	if eng.mem.Len() != 1 {
+		t.Fatalf("memory entries = %d, want 1", eng.mem.Len())
 	}
 	if !dt.Has("a") {
 		t.Fatal("evicted entry was not demoted to disk")
 	}
-	if v, ok := ts.Get("a"); !ok || v.(*blob).S != "first" {
+	if v, ok := eng.Peek("a"); !ok || v.(*blob).S != "first" {
 		t.Fatalf("demoted entry unreadable: %v, %v", v, ok)
 	}
 }
@@ -264,19 +267,21 @@ func TestDiskTierRefusesZeroByteArtifacts(t *testing.T) {
 func TestTieredStoreUnsupportedTypeStaysMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTestTier(t, dir, 0)
-	ts := NewTieredStore(NewCacheSized(8, 0), dt)
-	ts.Add("mem-only", 42) // int has no codec
+	eng := New(Options{Workers: 1, CacheEntries: 8, Disk: dt})
+	t.Cleanup(eng.Close)
+	eng.store("mem-only", 42) // int has no codec
+	dt.Flush()
 	if dt.Len() != 0 {
 		t.Fatal("unsupported type must not reach disk")
 	}
-	if v, ok := ts.Get("mem-only"); !ok || v != 42 {
+	if v, ok := eng.Peek("mem-only"); !ok || v != 42 {
 		t.Fatal("unsupported type must still be served from memory")
 	}
 }
 
 // slowCodec widens the write-through and promote windows so the
-// identity race below has room to fire without the fixes in
-// TieredStore.Get / Engine.Exec.
+// identity race below has room to fire if a key could be resolved by
+// two walks at once.
 type slowCodec struct{ blobCodec }
 
 func (c slowCodec) Encode(v any) (string, []byte, bool, error) {
@@ -289,64 +294,116 @@ func (c slowCodec) Decode(kind string, data []byte) (any, error) {
 	return c.blobCodec.Decode(kind, data)
 }
 
-// TestTieredExecPointerIdentity: every consumer of a key must observe
-// the same pointer within one process life, even when the key's
-// write-through lands on disk while another dependent is mid-lookup.
-// This is the bench/cfg/reach diamond that core.Select's identity
-// check guards: without the promote-path memory recheck and the
-// leader double-check, a dependent could receive a freshly-decoded
-// duplicate of an artifact its sibling already holds.
-func TestTieredExecPointerIdentity(t *testing.T) {
-	dir := t.TempDir()
-	dt, err := OpenDiskTier(dir, 0, slowCodec{})
-	if err != nil {
-		t.Fatal(err)
+// slowFetcher is a peer that serves every "c/" key after a delay,
+// decoding a fresh pointer per call, and counts its calls per key.
+type slowFetcher struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (f *slowFetcher) Fetch(ctx context.Context, key string) (any, bool) {
+	f.mu.Lock()
+	f.calls[key]++
+	f.mu.Unlock()
+	if !strings.HasPrefix(key, "c/") {
+		return nil, false
 	}
-	eng := New(Options{Workers: 4, Disk: dt})
-	// slowCodec keeps the write-through queue busy past the last Exec;
-	// Close drains it before the store directory is removed.
-	t.Cleanup(eng.Close)
-	ctx := context.Background()
-	for iter := 0; iter < 200; iter++ {
-		var mu sync.Mutex
-		var seen []any
-		record := func(v any) {
-			mu.Lock()
-			seen = append(seen, v)
-			mu.Unlock()
-		}
-		cJob := Job{
-			Key: fmt.Sprintf("c/%d", iter),
-			Run: func(ctx context.Context, deps []any) (any, error) {
-				return &blob{S: "c", Bytes: 16}, nil
-			},
-		}
-		rJob := Job{
-			Key:  fmt.Sprintf("r/%d", iter),
-			Deps: []Job{cJob},
-			Run: func(ctx context.Context, deps []any) (any, error) {
-				record(deps[0])
-				return &blob{S: "r", Bytes: 16}, nil
-			},
-		}
-		bJob := Job{
-			Key:  fmt.Sprintf("b/%d", iter),
-			Deps: []Job{cJob, rJob},
-			Run: func(ctx context.Context, deps []any) (any, error) {
-				record(deps[0])
-				return &blob{S: "b", Bytes: 16}, nil
-			},
-		}
-		if _, err := eng.Exec(ctx, bJob); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		for i := 1; i < len(seen); i++ {
-			if seen[i] != seen[0] {
-				t.Fatalf("iter %d: dependents observed distinct pointers for one key", iter)
+	time.Sleep(200 * time.Microsecond)
+	return &blob{S: "c", Bytes: 16}, true
+}
+
+// TestTieredExecPointerIdentity: every consumer of a key must observe
+// the same pointer within one process life, whichever tier answers —
+// even when the key's write-through lands on disk while another
+// dependent is mid-lookup, when a slow peer serves it, or when a peer
+// pushes a copy while it is being computed. This is the bench/cfg/reach
+// diamond that core.Select's identity check guards: a dependent must
+// never receive a freshly-decoded, fetched or pushed duplicate of an
+// artifact its sibling already holds.
+func TestTieredExecPointerIdentity(t *testing.T) {
+	cases := []struct {
+		name string
+		// remote, when non-nil, serves the shared dependency c.
+		remote *slowFetcher
+		// inject pushes a peer copy of c from inside c's own run.
+		inject bool
+	}{
+		{name: "disk"},
+		{name: "remote", remote: &slowFetcher{calls: map[string]int{}}},
+		{name: "inject", inject: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dt, err := OpenDiskTier(t.TempDir(), 0, slowCodec{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		mu.Unlock()
+			opts := Options{Workers: 4, Disk: dt}
+			if tc.remote != nil {
+				opts.Remote = tc.remote
+			}
+			eng := New(opts)
+			// slowCodec keeps the write-through queue busy past the
+			// last Exec; Close drains it before the store directory is
+			// removed.
+			t.Cleanup(eng.Close)
+			ctx := context.Background()
+			for iter := 0; iter < 200; iter++ {
+				var mu sync.Mutex
+				var seen []any
+				record := func(v any) {
+					mu.Lock()
+					seen = append(seen, v)
+					mu.Unlock()
+				}
+				cKey := fmt.Sprintf("c/%d", iter)
+				cJob := Job{
+					Key: cKey,
+					Run: func(ctx context.Context, deps []any) (any, error) {
+						if tc.inject && eng.Inject(cKey, &blob{S: "pushed", Bytes: 16}) {
+							t.Errorf("iter %d: Inject stored a key that is being computed", iter)
+						}
+						return &blob{S: "c", Bytes: 16}, nil
+					},
+				}
+				rJob := Job{
+					Key:  fmt.Sprintf("r/%d", iter),
+					Deps: []Job{cJob},
+					Run: func(ctx context.Context, deps []any) (any, error) {
+						record(deps[0])
+						return &blob{S: "r", Bytes: 16}, nil
+					},
+				}
+				bJob := Job{
+					Key:  fmt.Sprintf("b/%d", iter),
+					Deps: []Job{cJob, rJob},
+					Run: func(ctx context.Context, deps []any) (any, error) {
+						record(deps[0])
+						return &blob{S: "b", Bytes: 16}, nil
+					},
+				}
+				if _, err := eng.Exec(ctx, bJob); err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				for i := 1; i < len(seen); i++ {
+					if seen[i] != seen[0] {
+						t.Fatalf("iter %d: dependents observed distinct pointers for one key", iter)
+					}
+				}
+				mu.Unlock()
+				if v, ok := eng.Peek(cKey); !ok || v != seen[0] {
+					t.Fatalf("iter %d: the store holds a different pointer than the consumers saw", iter)
+				}
+			}
+			if tc.remote != nil {
+				for key, n := range tc.remote.calls {
+					if n > 1 {
+						t.Errorf("fetcher called %d times for %q, want at most 1", n, key)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -354,9 +411,8 @@ func TestEngineWarmFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTestTier(t, dir, 0)
 	eng := New(Options{Workers: 1, Disk: dt})
-	ts := eng.local.(*TieredStore)
-	ts.Add("w1", &blob{S: "one", Bytes: 8})
-	ts.Add("w2", &blob{S: "two", Bytes: 8})
+	eng.store("w1", &blob{S: "one", Bytes: 8})
+	eng.store("w2", &blob{S: "two", Bytes: 8})
 	eng.Close()
 
 	dt2 := openTestTier(t, dir, 0)
@@ -380,11 +436,11 @@ func TestWarmFromDiskRespectsMemoryBudget(t *testing.T) {
 	dir := t.TempDir()
 	dt := openTestTier(t, dir, 0)
 	eng := New(Options{Workers: 1, Disk: dt})
-	ts := eng.local.(*TieredStore)
+	t.Cleanup(eng.Close)
 	now := time.Now()
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("w%d", i)
-		ts.Add(key, &blob{S: fmt.Sprintf("v%d", i), Bytes: 16})
+		eng.store(key, &blob{S: fmt.Sprintf("v%d", i), Bytes: 16})
 		dt.Flush()
 		// Reopening orders by mtime; the writes above land within one
 		// timestamp tick, so spread them explicitly.

@@ -133,17 +133,10 @@ func (s *Server) runSweep() {
 			}
 			if data == nil {
 				var ok bool
-				if kind, data, ok = s.eng.PeekImage(key); !ok {
-					// Queued-but-unwritten, or evicted since Keys():
-					// encode the live value if the store still holds it.
-					v, live := s.eng.Peek(key)
-					if !live {
-						break
-					}
-					var err error
-					if kind, data, ok, err = s.codec.Encode(v); err != nil || !ok {
-						break
-					}
+				var err error
+				// Evicted since Keys(), or no wire form: nothing to push.
+				if kind, data, ok, err = s.artifactImage(key); err != nil || !ok {
+					break
 				}
 			}
 			pctx, cancel := context.WithTimeout(ctx, sweepCallTimeout)

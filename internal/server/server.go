@@ -643,33 +643,14 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Serve order: encode a memory-resident object; else relay the
-	// already-encoded disk image verbatim (no decode, no memory-tier
-	// pollution — traces are tens of MB); else the pending-write queue
-	// via the full Peek.
-	var kind string
-	var data []byte
-	v, ok := s.eng.PeekMemory(key)
-	if !ok {
-		if kind, data, ok = s.eng.PeekImage(key); !ok {
-			v, ok = s.eng.Peek(key)
-		}
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("artifact %q is not resident", key))
+	kind, data, ok, err := s.artifactImage(key)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if data == nil {
-		var err error
-		kind, data, ok, err = s.codec.Encode(v)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("artifact %q has no wire form", key))
-			return
-		}
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("artifact %q is not resident or has no wire form", key))
+		return
 	}
 	if s.cluster != nil {
 		s.cluster.NoteArtifactServed()
@@ -677,6 +658,24 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(shard.ArtifactKindHeader, kind)
 	w.Write(data) //nolint:errcheck // client went away
+}
+
+// artifactImage resolves the wire image of a locally-resident artifact
+// — the one lookup behind the artifact-exchange endpoint and the
+// re-replication sweep. The disk tier's already-encoded image is
+// relayed verbatim (no decode, no memory-tier pollution — traces are
+// tens of MB); otherwise the artifact Peek finds (memory, or the
+// disk tier's pending-write queue) is encoded. ok is false when the
+// key is not resident here or its type has no wire form.
+func (s *Server) artifactImage(key string) (kind string, data []byte, ok bool, err error) {
+	if kind, data, ok = s.eng.PeekImage(key); ok {
+		return kind, data, true, nil
+	}
+	v, ok := s.eng.Peek(key)
+	if !ok {
+		return "", nil, false, nil
+	}
+	return s.codec.Encode(v)
 }
 
 // statsResponse is the /v1/stats body. Its numeric leaves carry the

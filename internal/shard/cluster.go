@@ -67,6 +67,15 @@ const (
 	FetchErrDecode    FetchErrorReason = "decode"
 )
 
+// fallbackReasons and fetchErrorReasons are every declared cause: each
+// reason split in Stats reports all of them, at 0 until one first
+// fires, so a rate query over a healthy node reads 0 instead of no
+// data.
+var (
+	fallbackReasons   = []FallbackReason{FallbackTransport, FallbackStatus, FallbackBody, FallbackStream, FallbackBreaker}
+	fetchErrorReasons = []FetchErrorReason{FetchErrTransport, FetchErrDecode}
+)
+
 // Options configures a Cluster.
 type Options struct {
 	// VNodes is the virtual-node count per member (<= 0 selects
@@ -396,20 +405,20 @@ func (c *Cluster) Stats() Stats {
 		s.Suspects = nil
 	}
 	c.reasonMu.Lock()
-	s.ProxyFallbackReasons = reasonCounts(c.proxyFallbackReason)
-	s.BatchFallbackReasons = reasonCounts(c.batchFallbackReason)
-	s.FetchErrorReasons = reasonCounts(c.fetchErrorReason)
+	s.ProxyFallbackReasons = reasonCounts(fallbackReasons, c.proxyFallbackReason)
+	s.BatchFallbackReasons = reasonCounts(fallbackReasons, c.batchFallbackReason)
+	s.FetchErrorReasons = reasonCounts(fetchErrorReasons, c.fetchErrorReason)
 	c.reasonMu.Unlock()
 	return s
 }
 
-// reasonCounts copies a reason split for Stats (nil when empty, so the
-// JSON field is omitted).
-func reasonCounts[R ~string](m map[R]uint64) map[string]uint64 {
-	if len(m) == 0 {
-		return nil
+// reasonCounts copies a reason split for Stats, seeded with every
+// declared reason at 0.
+func reasonCounts[R ~string](declared []R, m map[R]uint64) map[string]uint64 {
+	out := make(map[string]uint64, len(declared))
+	for _, r := range declared {
+		out[string(r)] = 0
 	}
-	out := make(map[string]uint64, len(m))
 	for r, n := range m {
 		out[string(r)] = n
 	}
